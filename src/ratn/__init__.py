@@ -13,7 +13,8 @@ from .attention import (MODE_MATCHED, MODE_OFF, MODE_TRAIN_ONLY, MhaParams,
                         smoothed_focus_weights, window_merge, window_partition,
                         windowed_mha)
 from .decoding import (BeamHypothesis, BigramLm, LmScorer, beam_search,
-                       bigram_lm_train, greedy_decode, shallow_fusion)
+                       beam_search_batch, bigram_lm_train, greedy_decode,
+                       shallow_fusion)
 from .metrics import EditAlignment, attention_entropy, corpus_bleu, edit_align, wer
 from .rng import RngStream
 from .tensor import Tensor, backward, finite_diff_grad, no_grad
@@ -28,8 +29,8 @@ __all__ = [
     "ModelConfig", "PAD_ID", "Phase", "RelaxationConfig", "RngStream",
     "Seq2SeqModel", "Tensor", "TrainConfig", "WindowAttnParams", "adam_step",
     "attention_dropout", "attention_entropy", "attention_head", "backward",
-    "beam_search", "bigram_lm_train", "corpus_bleu", "edit_align",
-    "finite_diff_grad", "greedy_decode", "label_smoothed_nll",
+    "beam_search", "beam_search_batch", "bigram_lm_train", "corpus_bleu",
+    "edit_align", "finite_diff_grad", "greedy_decode", "label_smoothed_nll",
     "multi_head_attention", "no_grad", "relax_weights", "sample_fuzzy_gamma",
     "shallow_fusion", "smoothed_focus_weights", "train", "wer",
     "window_merge", "window_partition", "windowed_mha",

@@ -200,6 +200,45 @@ def _merge_heads(x: Tensor) -> Tensor:
     return reshape(t, (*lead, length, n_heads * dh))
 
 
+def _project_kv(k: Tensor, v: Tensor, params: MhaParams) -> tuple[Tensor, Tensor]:
+    return (_split_heads(matmul(k, params.w_k), params.n_heads),
+            _split_heads(matmul(v, params.w_v), params.n_heads))
+
+
+class KvCache:
+    """Projected keys and values of one attention site across decode steps.
+
+    This is the incremental state of fairseq (Ott et al. 2019): each step
+    feeds multi_head_attention only the newest query position. A
+    self-attention cache appends that step's projected keys/values and
+    attends over all positions so far; a static cache (cross attention over
+    a fixed encoder output) projects its keys/values on the first call and
+    reuses them after. Arrays are [rows, n_heads, L, d/n_heads]; reorder()
+    gathers rows, e.g. by beam parent. Inference only: gradients do not flow
+    through cached projections.
+    """
+
+    def __init__(self, static: bool = False):
+        self.static = static
+        self.k: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+
+    def keys_values(self, k: Tensor, v: Tensor,
+                    params: MhaParams) -> tuple[Tensor, Tensor]:
+        if self.k is None or not self.static:
+            kh, vh = _project_kv(k, v, params)
+            if self.k is None:
+                self.k, self.v = kh.data, vh.data
+            else:
+                self.k = np.concatenate([self.k, kh.data], axis=-2)
+                self.v = np.concatenate([self.v, vh.data], axis=-2)
+        return Tensor(self.k), Tensor(self.v)
+
+    def reorder(self, rows: np.ndarray) -> None:
+        if self.k is not None:
+            self.k, self.v = self.k[rows], self.v[rows]
+
+
 def _attention_weights(e: Tensor, weight_fn: str) -> Tensor:
     if weight_fn == WEIGHT_SOFTMAX:
         return softmax_rows(e)
@@ -253,7 +292,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params: MhaParams,
                          scale: float | None = None,
                          relax_length: int | None = None,
                          gamma_out: list | None = None,
-                         weights_out: list | None = None) -> Tensor:
+                         weights_out: list | None = None,
+                         cache: KvCache | None = None) -> Tensor:
     """All heads at once, concatenated and passed through the output layer.
 
     q/k/v may carry arbitrary leading batch axes. One relaxation coefficient
@@ -261,7 +301,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params: MhaParams,
     fuzzy draws come from gamma_rng (default rng) so they never perturb the
     dropout stream. The keyword-only extras serve the windowed variant
     (additive per-head bias, alternative logit scale, fixed relaxation
-    length) and diagnostics.
+    length), diagnostics, and incremental decoding (cache: the keys and
+    values attended over come from, and go into, a KvCache).
     """
     d, nh = params.d_model, params.n_heads
     if q.shape[-1] != d or k.shape[-1] != d or v.shape[-1] != d:
@@ -270,8 +311,10 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params: MhaParams,
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key length {k.shape[-2]} != value length {v.shape[-2]}")
     qh = _split_heads(matmul(q, params.w_q), nh)
-    kh = _split_heads(matmul(k, params.w_k), nh)
-    vh = _split_heads(matmul(v, params.w_v), nh)
+    if cache is None:
+        kh, vh = _project_kv(k, v, params)
+    else:
+        kh, vh = cache.keys_values(k, v, params)
     kt = transpose(kh, (*range(kh.ndim - 2), kh.ndim - 1, kh.ndim - 2))
     e = mul(matmul(qh, kt), scale if scale is not None else 1.0 / math.sqrt(d))
     if bias is not None:
@@ -281,7 +324,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params: MhaParams,
     weights = _attention_weights(e, weight_fn)
     gamma = sample_fuzzy_gamma(relax, gamma_rng if gamma_rng is not None else rng,
                                phase)
-    weights = relax_weights(weights, gamma, relax_length or k.shape[-2])
+    weights = relax_weights(weights, gamma, relax_length or kh.shape[-2])
     if gamma_out is not None and relax is not None and relax.active:
         gamma_out.append(gamma)
     if weights_out is not None:

@@ -2,9 +2,21 @@
 
 Fused scores are log P(model) + lambda * log P(LM), accumulated per emitted
 token and never renormalized. A hypothesis finishes when it emits EOS; the
-search stops once the best unfinished score drops below the best finished
-score minus eos_margin (margin 0: no unfinished hypothesis can still win),
-or at max_len. Final ranking divides scores by emitted-token count.
+search for a source stops once its best unfinished score drops below its
+best finished score minus eos_margin (margin 0: no unfinished hypothesis can
+still win), or at max_len. Final ranking divides scores by emitted-token
+count.
+
+Search runs over a corpus batch: the live hypotheses of every unfinished
+source form one decoder batch of rows, and each step runs the decoder on
+only the newest token of each row. Earlier positions live in the model's
+DecoderState, a per-layer cache of projected self-attention keys/values
+(plus the cross-attention keys/values of the encoder output, projected
+once), gathered by beam parent after every step. A call holds at most
+MAX_ROWS_PER_CALL rows, so a split is searched in groups of sources; the
+bookkeeping is per source, so no result depends on a source's neighbours.
+beam_search, for one source, is the N=1 case; greedy_decode stays as the
+straight-line reference that beam=1 reproduces.
 """
 
 from __future__ import annotations
@@ -18,6 +30,9 @@ from .tensor import Tensor, no_grad
 from .transformer import BOS_ID, EOS_ID, Seq2SeqModel
 
 _LOG_FLOOR = 1e-300  # keeps log() finite; scores this low never win
+# Hypothesis rows per decoder call. Bounds the memory of a batched search;
+# one call at beam 4 covers 50 sources.
+MAX_ROWS_PER_CALL = 200
 
 
 @dataclass
@@ -116,57 +131,100 @@ def greedy_decode(model: Seq2SeqModel, h: Tensor, max_len: int) -> list[int]:
 def beam_search(model: Seq2SeqModel, h: Tensor, beam: int,
                 lm: LmScorer | None = None, lam: float = 0.0,
                 max_len: int = 16, eos_margin: float = 0.0) -> list[BeamHypothesis]:
-    """Beam expansion over fused scores.
-
-    All live hypotheses share a length each step, so the model is queried
-    once per step in a batch. Candidate selection is a stable sort on score,
-    which breaks ties toward lower parent index, then lower token id (this
-    makes beam=1 reproduce greedy decoding exactly). Hypotheses still alive
-    at max_len are returned unfinished.
+    """Beam search for one source, h [T, d]: the N=1 case of beam_search_batch.
 
     The default margin 0 stops as soon as no continuation can beat the best
     finished raw score; since the final ranking is length-normalized, pass a
     large eos_margin (no truncation) when the search should be exhaustive
     over lengths, e.g. when comparing against an enumeration oracle.
     """
+    return beam_search_batch(model, Tensor(h.data[None]), beam, lm=lm, lam=lam,
+                             max_len=max_len, eos_margin=eos_margin)[0]
+
+
+def beam_search_batch(model: Seq2SeqModel, h: Tensor, beam: int,
+                      lm: LmScorer | None = None, lam: float = 0.0,
+                      max_len: int = 16,
+                      eos_margin: float = 0.0) -> list[list[BeamHypothesis]]:
+    """Beam search for every source of an encoded batch h [N, T, d].
+
+    Returns, per source, its finished hypotheses and any still alive at
+    max_len (unfinished), best first. Sources are searched in groups of at
+    most MAX_ROWS_PER_CALL // beam; no result depends on its neighbours.
+    """
     if beam < 1:
         raise ValueError(f"beam width must be >= 1, got {beam}")
     if lam < 0:
         raise ValueError(f"fusion weight lambda must be >= 0, got {lam}")
+    if h.ndim != 3:
+        raise ValueError(f"encoder output must be [N, T, d], got {h.shape}")
     if h.shape[-2] == 0:
         raise ValueError("empty encoder output")
-    live = [BeamHypothesis([BOS_ID], 0.0)]
-    finished: list[BeamHypothesis] = []
+    group = max(1, MAX_ROWS_PER_CALL // beam)
+    out: list[list[BeamHypothesis]] = []
     with no_grad():
-        for _ in range(max_len):
-            prefixes = np.array([hyp.tokens for hyp in live], dtype=np.int64)
-            probs = model.decode_step_batch(h, prefixes)
-            scores = np.log(np.maximum(probs, _LOG_FLOOR))
-            if lm is not None and lam > 0.0:
-                lm_scores = np.stack([lm.log_probs(hyp.tokens) for hyp in live])
-                scores = scores + lam * lm_scores
-            total = np.asarray([hyp.score for hyp in live])[:, None] + scores
-            flat = total.reshape(-1)
-            order = np.argsort(-flat, kind="stable")[:beam]
-            vocab = scores.shape[1]
-            new_live: list[BeamHypothesis] = []
-            for idx in order:
-                parent, tok = divmod(int(idx), vocab)
-                hyp = BeamHypothesis(live[parent].tokens + [tok], float(flat[idx]))
-                if tok == EOS_ID:
-                    hyp.finished = True
-                    finished.append(hyp)
-                else:
-                    new_live.append(hyp)
-            live = new_live
-            if not live:
-                break
-            if finished:
-                best_fin = max(f.score for f in finished)
-                best_live = max(hyp.score for hyp in live)
-                if best_live < best_fin - eos_margin:
-                    live = []  # abandoned prefixes are not hypotheses
-                    break
-    pool = finished + live  # live survivors were cut at max_len
-    pool.sort(key=lambda hyp: (-hyp.normalized_score, -hyp.score, hyp.tokens))
-    return pool
+        for start in range(0, h.shape[0], group):
+            out += _search_group(model, Tensor(h.data[start:start + group]),
+                                 beam, lm, lam, max_len, eos_margin)
+    return out
+
+
+def _search_group(model, h, beam, lm, lam, max_len, eos_margin):
+    """One decoder batch of every live hypothesis of every unfinished source.
+
+    Live rows are grouped by source in ascending order; the decoder sees
+    only each row's newest token and keeps the rest in its DecoderState,
+    gathered by beam parent after every step.
+    """
+    n = h.shape[0]
+    state = model.new_decoder_state()
+    src = np.arange(n)  # source of each live row
+    prefixes = np.full((n, 1), BOS_ID, dtype=np.int64)
+    scores = np.zeros(n)
+    pools: list[list[BeamHypothesis]] = [[] for _ in range(n)]  # finished
+    best_finished = np.full(n, -np.inf)
+    for _ in range(max_len):
+        probs = model.decode_next(h, prefixes[:, -1], state)
+        step = np.log(np.maximum(probs, _LOG_FLOOR))
+        if lm is not None and lam > 0.0:
+            step = shallow_fusion(step, np.stack([lm.log_probs(p) for p in prefixes]),
+                                  lam)
+        total = scores[:, None] + step
+        vocab = total.shape[1]
+        # Per source, the top `beam` of its (parent, token) grid by a stable
+        # sort: ties go to the lower parent, then the lower token id (so
+        # beam=1 reproduces greedy decoding exactly).
+        active, first, inverse, counts = np.unique(
+            src, return_index=True, return_inverse=True, return_counts=True)
+        slot = np.arange(len(src)) - first[inverse]
+        grid = np.full((len(active), counts.max(), vocab), -np.inf)
+        grid[inverse, slot] = total
+        grid = grid.reshape(len(active), -1)
+        order = np.argsort(-grid, axis=1, kind="stable")[:, :beam]
+        chosen = order // vocab < counts[:, None]  # not a padding slot
+        cand_src = np.broadcast_to(active[:, None], order.shape)[chosen]
+        cand_score = np.take_along_axis(grid, order, axis=1)[chosen]
+        cand_parent = (first[:, None] + order // vocab)[chosen]
+        cand_tok = (order % vocab)[chosen]
+        for i in np.nonzero(cand_tok == EOS_ID)[0]:
+            s = cand_src[i]
+            tokens = prefixes[cand_parent[i]].tolist() + [EOS_ID]
+            pools[s].append(BeamHypothesis(tokens, float(cand_score[i]), True))
+            best_finished[s] = max(best_finished[s], cand_score[i])
+        live = cand_tok != EOS_ID
+        # A source stops once its best live score falls below its best
+        # finished score minus eos_margin; abandoned prefixes are dropped.
+        best_live = np.full(n, -np.inf)
+        np.maximum.at(best_live, cand_src[live], cand_score[live])
+        live &= ~(best_live[cand_src] < best_finished[cand_src] - eos_margin)
+        rows = cand_parent[live]
+        prefixes = np.concatenate([prefixes[rows], cand_tok[live][:, None]], axis=1)
+        scores, src = cand_score[live], cand_src[live]
+        if not len(src):
+            break
+        state.reorder(rows)
+    for row, s in enumerate(src):  # live survivors were cut at max_len
+        pools[s].append(BeamHypothesis(prefixes[row].tolist(), float(scores[row])))
+    for pool in pools:
+        pool.sort(key=lambda hyp: (-hyp.normalized_score, -hyp.score, hyp.tokens))
+    return pools

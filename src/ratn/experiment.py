@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import MODE_TRAIN_ONLY, RelaxationConfig, _MODES
-from .decoding import BigramLm, beam_search, bigram_lm_train
+from .decoding import BigramLm, beam_search_batch, bigram_lm_train
 from .metrics import wer
 from .tasks import (ParallelCorpus, ToyTranslateSpec, WindowClassifySpec,
                     gen_copy_task, gen_reverse_task, gen_toy_translate,
@@ -247,16 +247,21 @@ def strip_specials(tokens) -> list[int]:
 
 def decode_corpus(model: Seq2SeqModel, sources: np.ndarray, beam: int,
                   lm=None, lam: float = 0.0, max_len: int | None = None,
-                  eos_margin: float = 0.0) -> list[tuple[list[int], float]]:
-    """Best beam hypothesis per source: (specials-stripped tokens, score)."""
-    outs = []
-    for src in sources:
-        h = model.encode(src, Phase.EVAL)
-        hyps = beam_search(model, h, beam, lm=lm, lam=lam,
-                           max_len=max_len or model.config.max_len - 2,
-                           eos_margin=eos_margin)
-        outs.append((strip_specials(hyps[0].tokens), hyps[0].score))
-    return outs
+                  eos_margin: float = 0.0, *,
+                  h=None) -> list[tuple[list[int], float]]:
+    """Best beam hypothesis per source: (specials-stripped tokens, score).
+
+    The sources are encoded as one batch unless h, their encoder output, is
+    given; callers decoding one split repeatedly pass it to encode once.
+    """
+    if len(sources) == 0:
+        return []
+    if h is None:
+        h = model.encode(sources, Phase.EVAL)
+    hyps = beam_search_batch(model, h, beam, lm=lm, lam=lam,
+                             max_len=max_len or model.config.max_len - 2,
+                             eos_margin=eos_margin)
+    return [(strip_specials(best.tokens), best.score) for best, *_ in hyps]
 
 
 def _base_row(setting: RelaxSetting, seed: int) -> dict:
@@ -271,7 +276,8 @@ def run_sequence_cell(spec: ExperimentSpec, data: SequenceTaskData,
 
     Decodes: dev without LM, dev per (corpus, lambda) on the grid, test
     without LM, and test once per corpus at the dev-selected lambda (ties go
-    to the smaller lambda). Test is never used for selection.
+    to the smaller lambda). Test is never used for selection. Each split is
+    encoded once and its encoder output reused by every decode.
     """
     cfg = resolve_model_config(spec, data, setting)
     train_cfg = TrainConfig(**{**spec.train, "seed": seed})
@@ -285,12 +291,14 @@ def run_sequence_cell(spec: ExperimentSpec, data: SequenceTaskData,
             lms[name] = bigram_lm_train(data.text[name], cfg.vocab_size, spec.lm.k)
     max_len = data.train.targets.shape[1] + 2
     rows: list[dict] = []
+    encoded = {"dev": model.encode(data.dev.sources, Phase.EVAL),
+               "test": model.encode(data.test.sources, Phase.EVAL)}
 
     def decode_and_score(split: str, corpus: ParallelCorpus, lm_name: str,
                          lam: float) -> float:
         decoded = decode_corpus(model, corpus.sources, spec.beam,
                                 lm=lms.get(lm_name), lam=lam, max_len=max_len,
-                                eos_margin=spec.eos_margin)
+                                eos_margin=spec.eos_margin, h=encoded[split])
         hyps = [tokens for tokens, _ in decoded]
         value = wer([list(map(int, t)) for t in corpus.targets], hyps)
         rows.append({**_base_row(setting, seed), "split": split, "lm": lm_name,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import Phase
-from .decoding import greedy_decode
+from .decoding import beam_search_batch
 from .rng import RngStream
 from .tensor import Tensor, backward, clamp_min, log, mul, tsum
 from .transformer import BOS_ID, EOS_ID, Seq2SeqModel
@@ -110,13 +110,17 @@ def teacher_forcing_pair(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sequence_accuracy(model: Seq2SeqModel, sources: np.ndarray,
                       targets: np.ndarray, max_len: int | None = None) -> float:
-    """Exact-match rate of greedy decodes against references."""
+    """Exact-match rate of greedy (beam 1) decodes against references.
+
+    The sources are encoded and searched as one batch.
+    """
     if max_len is None:
         max_len = targets.shape[1] + 2
+    h = model.encode(sources, Phase.EVAL)
     hits = 0
-    for src, ref in zip(sources, targets):
-        h = model.encode(src, Phase.EVAL)
-        out = greedy_decode(model, h, max_len)
+    for (best, *_), ref in zip(beam_search_batch(model, h, 1, max_len=max_len),
+                               targets):
+        out = best.tokens
         emitted = out[1:-1] if out and out[-1] == EOS_ID else out[1:]
         hits += int(len(emitted) == len(ref) and np.array_equal(emitted, ref))
     return hits / len(sources)

@@ -5,7 +5,8 @@ blocks (add, then normalize), ReLU feed-forward, and three dropout sites:
 residual (sub-layer outputs before the residual add, also on embeddings),
 activation (after ReLU), and attention (on the attention weights, after
 relaxation). Encoder self-attention and decoder cross attention can be
-relaxed; decoder masked self-attention never is.
+relaxed; decoder masked self-attention never is. Inference can also run the
+decoder one position at a time over a DecoderState of cached keys/values.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (MhaParams, Phase, RelaxationConfig, WEIGHT_SOFTMAX,
-                        causal_mask, multi_head_attention)
+from .attention import (KvCache, MhaParams, Phase, RelaxationConfig,
+                        WEIGHT_SOFTMAX, causal_mask, multi_head_attention)
 from .rng import RngStream
 from .tensor import (Tensor, embedding, layer_norm, matmul, mul, relu,
                      softmax_rows)
@@ -156,6 +157,24 @@ class DecoderBlock:
     ln3: LayerNormParams
 
 
+class DecoderState:
+    """Incremental decoding state of a batch of hypothesis rows.
+
+    Per decoder layer a self-attention KvCache and a static cross-attention
+    KvCache, plus the number of positions decoded so far. reorder() gathers
+    every cache's rows, so row i continues the prefix of old row rows[i].
+    """
+
+    def __init__(self, n_layers: int):
+        self.caches = [(KvCache(), KvCache(static=True)) for _ in range(n_layers)]
+        self.length = 0
+
+    def reorder(self, rows: np.ndarray) -> None:
+        for self_cache, cross_cache in self.caches:
+            self_cache.reorder(rows)
+            cross_cache.reorder(rows)
+
+
 class Seq2SeqModel:
     """Encoder-decoder transformer over a shared token vocabulary.
 
@@ -234,13 +253,14 @@ class Seq2SeqModel:
         mask = self._rng_dropout.bernoulli_mask(t.shape, 1.0 - p) / (1.0 - p)
         return mul(t, mask)
 
-    def _embed(self, table: Tensor, tokens: np.ndarray, phase: Phase) -> Tensor:
-        length = tokens.shape[-1]
+    def _embed(self, table: Tensor, tokens: np.ndarray, phase: Phase,
+               offset: int = 0) -> Tensor:
+        length = offset + tokens.shape[-1]
         if length > self.config.max_len:
             raise ValueError(f"sequence length {length} exceeds max_len "
                              f"{self.config.max_len}")
         x = mul(embedding(table, tokens), math.sqrt(self.config.d_model))
-        x = x + self.pos[:length]
+        x = x + self.pos[offset:length]
         return self._dropout(x, self.config.dropout_residual, phase)
 
     def encode(self, tokens, phase: Phase = Phase.EVAL) -> Tensor:
@@ -265,25 +285,30 @@ class Seq2SeqModel:
         h = self._dropout(h, self.config.dropout_activation, phase)
         return matmul(h, ff.w2) + ff.b2
 
-    def _decode_from_embeddings(self, h: Tensor, y: Tensor,
-                                phase: Phase) -> Tensor:
-        """Decoder stack on pre-embedded targets; returns [.., L, D] probs."""
+    def _decode_from_embeddings(self, h: Tensor, y: Tensor, phase: Phase,
+                                state: DecoderState | None = None) -> Tensor:
+        """Decoder stack on pre-embedded targets; returns [.., L, D] probs.
+
+        With a state, y is the one newest position of each row and attends
+        over the cached positions before it, so no causal mask is needed.
+        """
         cfg = self.config
-        length = y.shape[-2]
-        mask = causal_mask(length)
+        mask = causal_mask(y.shape[-2]) if state is None else None
         self.last_gammas["cross"] = []
         x = y
-        for blk in self.dec_blocks:
+        for i, blk in enumerate(self.dec_blocks):
+            self_cache, cross_cache = (state.caches[i] if state is not None
+                                       else (None, None))
             a = multi_head_attention(
                 x, x, x, blk.self_attn, mask=mask,
                 dropout_p=cfg.dropout_attention, rng=self._rng_dropout,
-                phase=phase)
+                phase=phase, cache=self_cache)
             x = blk.ln1(x + self._dropout(a, cfg.dropout_residual, phase))
             c = multi_head_attention(
                 x, h, h, blk.cross_attn, relax=cfg.relax_cross,
                 weight_fn=cfg.weight_fn_cross, dropout_p=cfg.dropout_attention,
                 rng=self._rng_dropout, phase=phase, gamma_rng=self._rng_gamma,
-                gamma_out=self.last_gammas["cross"])
+                gamma_out=self.last_gammas["cross"], cache=cross_cache)
             x = blk.ln2(x + self._dropout(c, cfg.dropout_residual, phase))
             f = self._ffn(blk.ff, x, phase)
             x = blk.ln3(x + self._dropout(f, cfg.dropout_residual, phase))
@@ -310,8 +335,31 @@ class Seq2SeqModel:
 
     def decode_step_batch(self, h: Tensor, prefixes: np.ndarray,
                           phase: Phase = Phase.EVAL) -> np.ndarray:
-        """Next-token probabilities [B, D] for equal-length prefixes [B, t]."""
+        """Next-token probabilities [B, D] for equal-length prefixes [B, t].
+
+        Reruns the decoder over every full prefix; decode_next is the
+        incremental form that search uses.
+        """
         probs = self.decode_probs(h, prefixes, phase)
+        return probs.data[:, -1, :]
+
+    def new_decoder_state(self) -> DecoderState:
+        return DecoderState(len(self.dec_blocks))
+
+    def decode_next(self, h: Tensor, tokens, state: DecoderState) -> np.ndarray:
+        """Eval-phase next-token probabilities [R, D] after feeding tokens [R].
+
+        Each row's prefix is every token fed to it through `state`, which
+        this call extends by one position; the first call feeds BOS. h
+        [R, T, d] is read on the first call only, when it fills the
+        cross-attention caches; reorder the state between calls to follow
+        beam parents. Equals decode_step_batch on the full prefixes up to
+        float reassociation.
+        """
+        arr = np.asarray(tokens, dtype=np.int64)[:, None]
+        y = self._embed(self.emb_dec, arr, Phase.EVAL, offset=state.length)
+        probs = self._decode_from_embeddings(h, y, Phase.EVAL, state)
+        state.length += 1
         return probs.data[:, -1, :]
 
     def forward_teacher_forced(self, x_tokens, y_tokens,

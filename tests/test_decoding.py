@@ -3,6 +3,7 @@ enumeration oracle, and the add-k bigram LM."""
 
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -10,8 +11,11 @@ import pytest
 
 from helpers import rel_err
 from ratn.attention import Phase
+from ratn import decoding
 from ratn.decoding import (BeamHypothesis, BigramLm, beam_search,
-                           bigram_lm_train, greedy_decode, shallow_fusion)
+                           beam_search_batch, bigram_lm_train, greedy_decode,
+                           shallow_fusion)
+from ratn.experiment import decode_corpus, strip_specials
 from ratn.rng import RngStream
 from ratn.tensor import Tensor
 from ratn.transformer import BOS_ID, EOS_ID, ModelConfig, Seq2SeqModel
@@ -220,3 +224,103 @@ def test_length_normalization_no_effect_on_equal_lengths():
     by_norm = sorted(hyps, key=lambda hh: -hh.normalized_score)
     by_raw = sorted(hyps, key=lambda hh: -hh.score)
     assert [h.tokens for h in by_norm] == [h.tokens for h in by_raw]
+
+
+# ---------------------------------------------------------------------------
+# batched search against the per-source straight-line reference
+
+
+def _reference_beam_search(model, h, beam, lm, lam, max_len, eos_margin):
+    """Per-source beam search that reruns the decoder over every full prefix.
+
+    The straight-line form of beam_search's contract: one source, a stable
+    sort over (parent, token), per-hypothesis bookkeeping.
+    """
+    live, finished = [BeamHypothesis([BOS_ID], 0.0)], []
+    for _ in range(max_len):
+        probs = model.decode_step_batch(h, np.array([hyp.tokens for hyp in live]))
+        scores = np.log(np.maximum(probs, 1e-300))
+        if lm is not None and lam > 0.0:
+            scores = scores + lam * np.stack([lm.log_probs(hyp.tokens)
+                                              for hyp in live])
+        flat = (np.array([hyp.score for hyp in live])[:, None] + scores).reshape(-1)
+        new_live = []
+        for idx in np.argsort(-flat, kind="stable")[:beam]:
+            parent, tok = divmod(int(idx), scores.shape[1])
+            hyp = BeamHypothesis(live[parent].tokens + [tok], float(flat[idx]),
+                                 tok == EOS_ID)
+            (finished if hyp.finished else new_live).append(hyp)
+        live = new_live
+        if not live:
+            break
+        if finished and (max(hyp.score for hyp in live)
+                         < max(f.score for f in finished) - eos_margin):
+            live = []
+            break
+    pool = finished + live
+    pool.sort(key=lambda hyp: (-hyp.normalized_score, -hyp.score, hyp.tokens))
+    return pool
+
+
+def corpus_setup(seed=4):
+    """Model, sources and LM whose decodes stop at different steps.
+
+    Cross attention is scaled up and EOS favoured, so that what an untrained
+    model emits, and when it ends, depends on the source.
+    """
+    cfg = ModelConfig(n_enc=1, n_dec=2, n_heads=2, d_model=8, d_ff=16,
+                      vocab_size=6, max_len=10, dropout_residual=0.0,
+                      dropout_activation=0.0, dropout_attention=0.0)
+    model = Seq2SeqModel(cfg, seed=seed)
+    for blk in model.dec_blocks:
+        blk.cross_attn.w_q.data = blk.cross_attn.w_q.data * 6.0
+        blk.cross_attn.w_o.data = blk.cross_attn.w_o.data * 6.0
+    model.out_b.data = model.out_b.data + np.eye(6)[EOS_ID]
+    rng = RngStream(seed, "corpus")
+    sources = rng.integers(3, 6, (9, 4))
+    lm = BigramLm(np.abs(rng.normal((6, 6))) * 3, k=0.5)
+    return model, sources, lm
+
+
+@pytest.mark.parametrize("eos_margin", [0.0, 1e9])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("beam", [1, 4])
+def test_decode_corpus_matches_per_source_search(beam, lam, eos_margin):
+    model, sources, lm = corpus_setup()
+    batched = decode_corpus(model, sources, beam, lm=lm, lam=lam, max_len=6,
+                            eos_margin=eos_margin)
+    steps = set()
+    for src, (tokens, score) in zip(sources, batched):
+        h = model.encode(src)
+        single = beam_search(model, h, beam, lm=lm, lam=lam, max_len=6,
+                             eos_margin=eos_margin)
+        ref = _reference_beam_search(model, h, beam, lm, lam, 6, eos_margin)
+        assert [hyp.tokens for hyp in single] == [hyp.tokens for hyp in ref]
+        assert [hyp.finished for hyp in single] == [hyp.finished for hyp in ref]
+        for a, b in zip(single, ref):
+            assert abs(a.score - b.score) < 1e-10
+        assert strip_specials(ref[0].tokens) == tokens
+        assert abs(ref[0].score - score) < 1e-10
+        steps.add(len(ref[0].tokens))
+    assert len(steps) > 1  # the sources finish at different steps
+
+
+def test_decode_corpus_ignores_batch_neighbours_and_row_cap(monkeypatch):
+    model, sources, lm = corpus_setup(seed=5)
+
+    def decode(src):
+        return json.dumps(decode_corpus(model, src, 4, lm=lm, lam=0.3,
+                                        max_len=6))
+
+    whole = decode(sources)
+    assert whole == json.dumps(json.loads(decode(sources[:4]))
+                               + json.loads(decode(sources[4:])))
+    monkeypatch.setattr(decoding, "MAX_ROWS_PER_CALL", 4)  # one source a call
+    assert decode(sources) == whole
+
+
+def test_empty_source_batch_decodes_to_nothing():
+    model, _, lm = corpus_setup()
+    assert decode_corpus(model, np.zeros((0, 4), dtype=np.int64), 4, lm=lm,
+                         lam=0.3) == []
+    assert beam_search_batch(model, Tensor(np.zeros((0, 4, 8))), 4) == []

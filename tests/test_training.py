@@ -8,12 +8,13 @@ import pytest
 
 from helpers import rel_err
 from ratn.attention import Phase, RelaxationConfig, relax_weights
+from ratn.decoding import greedy_decode
 from ratn.rng import RngStream
 from ratn.tasks import gen_copy_task
 from ratn.tensor import Tensor, backward, finite_diff_grad, matmul
 from ratn.training import (AdamState, TrainConfig, TrainingDiverged, adam_step,
-                           label_smoothed_nll, train)
-from ratn.transformer import ModelConfig, Seq2SeqModel
+                           label_smoothed_nll, sequence_accuracy, train)
+from ratn.transformer import EOS_ID, ModelConfig, Seq2SeqModel
 
 
 def test_nll_alpha_zero_is_plain_nll():
@@ -172,3 +173,15 @@ def test_short_copy_training_improves_accuracy():
                  dev=(corpus.sources[:24], corpus.targets[:24]))
     assert recs[-1]["eval_acc"] >= 0.5
     assert recs[-1]["loss"] < recs[0]["loss"] * 0.7
+
+
+def test_batched_sequence_accuracy_matches_per_source_greedy():
+    model, corpus, tcfg = _desk_setup(steps=250, seed=1)  # partly trained
+    train(model, corpus.sources, corpus.targets, tcfg)
+    sources, targets = corpus.sources[:48], corpus.targets[:48]
+    hits = 0
+    for src, ref in zip(sources, targets):
+        out = greedy_decode(model, model.encode(src), targets.shape[1] + 2)
+        hits += (out[1:-1] if out[-1] == EOS_ID else out[1:]) == ref.tolist()
+    assert 0 < hits < len(sources)
+    assert sequence_accuracy(model, sources, targets) == hits / len(sources)

@@ -128,6 +128,39 @@ def test_teacher_forcing_matches_sequential_decoding():
         assert np.abs(parallel[prefix_len - 1] - step).max() < 1e-10
 
 
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"relax_cross": RelaxationConfig(gamma0=0.3, mode="matched")},
+    {"relax_cross": RelaxationConfig(gamma0=0.3, mode="matched"),
+     "weight_fn_cross": "smoothed_focus"},
+])
+def test_incremental_step_matches_full_recompute(overrides):
+    model = tiny_model(seed=6, n_dec=2, **overrides)
+    h = model.encode(np.array([[3, 4, 5, 6], [7, 3, 9, 4], [5, 5, 8, 3]]))
+    y = RngStream(7, "t").integers(3, 10, (3, 9))
+    y[:, 0] = BOS_ID
+    state = model.new_decoder_state()
+    for length in range(1, y.shape[1] + 1):
+        if length == 5:  # rows follow beam parents: permuted and duplicated
+            rows = np.array([2, 0, 0])
+            state.reorder(rows)
+            y, h = y[rows], Tensor(h.data[rows])
+        step = model.decode_next(h, y[:, length - 1], state)
+        full = model.decode_step_batch(h, y[:, :length])
+        assert np.abs(step - full).max() < 1e-10
+    assert state.length == y.shape[1]
+
+
+def test_incremental_step_rejects_positions_beyond_max_len():
+    model = tiny_model()
+    h = model.encode(np.array([[3, 4, 5]]))
+    state = model.new_decoder_state()
+    for _ in range(TINY.max_len):
+        model.decode_next(h, [BOS_ID], state)
+    with pytest.raises(ValueError):
+        model.decode_next(h, [BOS_ID], state)
+
+
 def test_forward_gradient_matches_finite_differences():
     model = tiny_model(seed=4)
     x = [3, 4, 5]
