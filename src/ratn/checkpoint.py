@@ -11,13 +11,16 @@ Layout (all integers little-endian):
         data     f64 * prod(dims), little-endian
 
 Round trips are bit-exact. A JSON sidecar (<path>.json) carries the model
-config and construction seed so a model can be rebuilt from the pair.
+config and construction seed so a model can be rebuilt from the pair. Both
+files, like every output file of the library, are written through
+write_atomic.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -34,21 +37,37 @@ class CheckpointError(ValueError):
     """Malformed, truncated, or mismatched checkpoint data."""
 
 
-def write_tensors(path, named: dict[str, np.ndarray]) -> None:
+def write_atomic(path, content: str | bytes) -> None:
+    """Replace path by content so that no reader or crash sees a torn file.
+
+    The content goes to a temporary file in the same directory, is flushed
+    and fsynced, then renamed over path. On any error the temporary file is
+    removed and path keeps its old content.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(named)))
-        for name, arr in named.items():
-            data = np.asarray(arr, dtype="<f8")  # tobytes() emits C order
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<Q", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<Q", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            f.write(data.tobytes())
+    data = content.encode("utf-8") if isinstance(content, str) else content
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_tensors(path, named: dict[str, np.ndarray]) -> None:
+    parts = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", len(named))]
+    for name, arr in named.items():
+        data = np.asarray(arr, dtype="<f8")  # tobytes() emits C order
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<Q", len(encoded)), encoded,
+                  struct.pack("<Q", data.ndim),
+                  struct.pack(f"<{data.ndim}Q", *data.shape), data.tobytes()]
+    write_atomic(path, b"".join(parts))
 
 
 def _read_exact(f, n: int) -> bytes:
@@ -85,7 +104,7 @@ def save_model(model: Seq2SeqModel, path) -> None:
     """Write parameters plus a config/seed sidecar at <path>.json."""
     write_tensors(path, {k: t.data for k, t in model.parameters().items()})
     sidecar = {"config": dataclasses.asdict(model.config), "seed": model.seed}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=1))
+    write_atomic(str(path) + ".json", json.dumps(sidecar, sort_keys=True, indent=1))
 
 
 def model_config_from_dict(d: dict) -> ModelConfig:

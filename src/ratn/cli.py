@@ -4,7 +4,8 @@ Subcommands: train, decode, eval, experiment, sweep-gamma, report-ilm. All
 take an experiment spec (JSON); corpora are regenerated deterministically
 from the spec, so decode/eval never need separate data files. The default
 output root comes from $RATN_OUTPUT_ROOT (falling back to the current
-directory), joined with the spec's output_dir.
+directory), joined with the spec's output_dir. Every file is written
+through checkpoint.write_atomic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .checkpoint import load_model, save_model
+from .checkpoint import load_model, save_model, write_atomic
 from .decoding import bigram_lm_train
 from .experiment import (ExperimentSpec, LM_NONE, build_task_data,
                          decode_corpus, gamma_sweep, ilm_suppression_report,
@@ -53,7 +54,6 @@ def cmd_train(args) -> int:
     if spec.task == "window_classify":
         raise SystemExit("use `ratn experiment` for the window_classify task")
     out = _out_dir(args, spec)
-    out.mkdir(parents=True, exist_ok=True)
     data = build_task_data(spec.task, spec.task_params)
     setting = spec.relax_grid[args.setting]
     seed = spec.seeds[0]
@@ -64,9 +64,8 @@ def cmd_train(args) -> int:
                     dev=(data.dev.sources, data.dev.targets))
     ckpt = out / "model.ratn"
     save_model(model, ckpt)
-    with open(out / "metrics.jsonl", "w") as f:
-        for rec in records:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_atomic(out / "metrics.jsonl",
+                 "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
     final = records[-1]
     print(f"trained {setting.label} seed={seed}: loss={final['loss']:.4f} "
           f"eval_acc={final['eval_acc']}")
@@ -83,7 +82,6 @@ def _split_corpus(data, split: str):
 def cmd_decode(args) -> int:
     spec = _load_spec(args)
     out = _out_dir(args, spec)
-    out.mkdir(parents=True, exist_ok=True)
     data = build_task_data(spec.task, spec.task_params)
     model = load_model(args.checkpoint)
     corpus = _split_corpus(data, args.split)
@@ -99,11 +97,9 @@ def cmd_decode(args) -> int:
                             max_len=corpus.targets.shape[1] + 2,
                             eos_margin=spec.eos_margin)
     path = out / f"decoded.{args.split}.jsonl"
-    with open(path, "w") as f:
-        for i, (tokens, score) in enumerate(decoded):
-            f.write(json.dumps({"id": i, "tokens": tokens, "score": score,
-                                "lm_lambda": lam},
-                               sort_keys=True) + "\n")
+    write_atomic(path, "".join(
+        json.dumps({"id": i, "tokens": tokens, "score": score, "lm_lambda": lam},
+                   sort_keys=True) + "\n" for i, (tokens, score) in enumerate(decoded)))
     print(f"decoded {len(decoded)} sequences -> {path}")
     return 0
 
@@ -111,7 +107,6 @@ def cmd_decode(args) -> int:
 def cmd_eval(args) -> int:
     spec = _load_spec(args)
     out = _out_dir(args, spec)
-    out.mkdir(parents=True, exist_ok=True)
     data = build_task_data(spec.task, spec.task_params)
     corpus = _split_corpus(data, args.split)
     refs = [list(map(int, t)) for t in corpus.targets]
@@ -128,8 +123,8 @@ def cmd_eval(args) -> int:
     report = {"metric": args.metric, "value": value, "n_utterances": len(hyps),
               "config_hash": _config_hash(spec)}
     print(json.dumps(report, sort_keys=True))
-    (out / f"eval.{args.metric}.json").write_text(
-        json.dumps(report, sort_keys=True, indent=1))
+    write_atomic(out / f"eval.{args.metric}.json",
+                 json.dumps(report, sort_keys=True, indent=1))
     return 0
 
 
@@ -155,9 +150,7 @@ def cmd_report_ilm(args) -> int:
     text = json.dumps(report, indent=1, sort_keys=True)
     print(text)
     if args.output_dir:
-        out = Path(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "ilm_report.json").write_text(text)
+        write_atomic(Path(args.output_dir) / "ilm_report.json", text)
     return 0
 
 

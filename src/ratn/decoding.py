@@ -75,10 +75,6 @@ class BigramLm(LmScorer):
         totals = counts.sum(axis=1, keepdims=True)
         self._log_cond = np.log(counts + k) - np.log(totals + k * d)
 
-    @property
-    def vocab_size(self) -> int:
-        return self.counts.shape[0]
-
     def log_probs(self, prefix) -> np.ndarray:
         context = int(prefix[-1])
         return self._log_cond[context]

@@ -7,33 +7,37 @@ the LM (fusion weight chosen on dev only), and writes JSON-lines results plus
 a mean/std summary. Identical specs produce byte-identical files: no
 timestamps, sorted keys, sorted rows, and every default materialized into
 the output for provenance.
+
+run_experiment and gamma_sweep both run their cells through _run_cells: task
+data built once, one _cell_job per cell (in process at workers=1, on a
+process pool above), a cell_failed row for a cell that raises. Output files
+are replaced atomically (checkpoint.write_atomic).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .attention import MODE_TRAIN_ONLY, RelaxationConfig, _MODES
+from .checkpoint import write_atomic
 from .decoding import BigramLm, beam_search_batch, bigram_lm_train
 from .metrics import wer
-from .tasks import (ParallelCorpus, ToyTranslateSpec, WindowClassifySpec,
-                    gen_copy_task, gen_reverse_task, gen_toy_translate,
-                    gen_window_classify)
+from .tasks import (TASK_SPECS, ParallelCorpus, gen_copy_task,
+                    gen_reverse_task, gen_toy_translate, gen_window_classify)
 from .training import TrainConfig, train
 from .transformer import BOS_ID, EOS_ID, ModelConfig, Phase, Seq2SeqModel
 from .rng import RngStream
 from .window_classifier import (WindowClassifier, WindowClassifierConfig,
                                 train_classifier)
 
-SEQUENCE_TASKS = ("copy", "reverse", "toy_translate")
-TASKS = SEQUENCE_TASKS + ("window_classify",)
+TASKS = tuple(TASK_SPECS)
 LM_NONE = "none"
 
 DEFAULT_GAMMA_GRID = {
@@ -135,6 +139,10 @@ class ExperimentSpec:
             raise ValueError("relax_grid must be non-empty")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
+        try:
+            TASK_SPECS[self.task](**self.task_params)
+        except TypeError as err:  # an unknown key
+            raise ValueError(f"bad task_params for {self.task!r}: {err}") from None
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -179,30 +187,26 @@ class SequenceTaskData:
 
 
 def build_task_data(task: str, task_params: dict):
-    params = dict(task_params)
-    if task in ("copy", "reverse"):
-        defaults = {"vocab_size": 16, "length": 6, "n_train": 2048,
-                    "n_dev": 64, "n_test": 128, "data_seed": 1234}
-        defaults.update(params)
-        gen = gen_copy_task if task == "copy" else gen_reverse_task
-        rng = RngStream(defaults["data_seed"], "data")
-        mk = lambda label, n: gen(rng.child(label), defaults["vocab_size"],
-                                  defaults["length"], n)
-        train_c = mk("train", defaults["n_train"])
-        dev_c = mk("dev", defaults["n_dev"])
-        test_c = mk("test", defaults["n_test"])
-        return SequenceTaskData(train=train_c, dev=dev_c, test=test_c,
-                                text={"in_domain": train_c.targets},
-                                vocab_size=defaults["vocab_size"])
+    if task not in TASK_SPECS:
+        raise ValueError(f"unknown task {task!r}")
+    spec = TASK_SPECS[task](**task_params)
+    if task == "window_classify":
+        return gen_window_classify(spec)
     if task == "toy_translate":
-        data = gen_toy_translate(ToyTranslateSpec(**params))
+        data = gen_toy_translate(spec)
         return SequenceTaskData(train=data.train, dev=data.dev, test=data.test,
                                 text={"in_domain": data.text_in_domain,
                                       "extended": data.text_extended},
                                 vocab_size=data.vocab_size)
-    if task == "window_classify":
-        return gen_window_classify(WindowClassifySpec(**params))
-    raise ValueError(f"unknown task {task!r}")
+    gen = gen_copy_task if task == "copy" else gen_reverse_task
+    rng = RngStream(spec.data_seed, "data")
+    train_c, dev_c, test_c = (
+        gen(rng.child(label), spec.vocab_size, spec.length, n)
+        for label, n in (("train", spec.n_train), ("dev", spec.n_dev),
+                         ("test", spec.n_test)))
+    return SequenceTaskData(train=train_c, dev=dev_c, test=test_c,
+                            text={"in_domain": train_c.targets},
+                            vocab_size=spec.vocab_size)
 
 
 def resolve_model_config(spec: ExperimentSpec, data,
@@ -226,13 +230,9 @@ def resolve_classifier_config(spec: ExperimentSpec, data,
                               setting: RelaxSetting) -> WindowClassifierConfig:
     if setting.site not in ("none", "window"):
         raise ValueError(f"site {setting.site!r} does not apply to window_classify")
-    s = data.spec
     overrides = dict(spec.model)
-    overrides.setdefault("height", s.height)
-    overrides.setdefault("width", s.width)
-    overrides.setdefault("channels", s.channels)
-    overrides.setdefault("window", s.window)
-    overrides.setdefault("n_classes", s.n_classes)
+    for name in ("height", "width", "channels", "window", "n_classes"):
+        overrides.setdefault(name, getattr(data.spec, name))
     overrides["relax"] = setting.relaxation()
     return WindowClassifierConfig(**overrides)
 
@@ -341,15 +341,25 @@ def run_cell(spec: ExperimentSpec, data, setting: RelaxSetting,
     return run_sequence_cell(spec, data, setting, seed)
 
 
-def _cell_job(spec_dict: dict, setting_idx: int, seed: int) -> list[dict]:
-    spec = ExperimentSpec.from_dict(spec_dict)
-    data = build_task_data(spec.task, spec.task_params)
-    setting = spec.relax_grid[setting_idx]
+def _cell_job(spec: ExperimentSpec, data, setting: RelaxSetting,
+              seed: int) -> list[dict]:
     try:
         return run_cell(spec, data, setting, seed)
     except Exception as err:  # record the failure, keep the run going
         return [{"type": "cell_failed", "setting": setting.label, "seed": seed,
                  "error": f"{type(err).__name__}: {err}"}]
+
+
+def _run_cells(spec: ExperimentSpec, cells: list[tuple[RelaxSetting, int]],
+               workers: int) -> list[list[dict]]:
+    """Rows of each (setting, seed) cell, in the order of cells."""
+    data = build_task_data(spec.task, spec.task_params)
+    jobs = (repeat(spec), repeat(data), [c[0] for c in cells],
+            [c[1] for c in cells])
+    if workers <= 1:
+        return list(map(_cell_job, *jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_cell_job, *jobs))
 
 
 def _row_sort_key(row: dict):
@@ -360,19 +370,10 @@ def _row_sort_key(row: dict):
 
 def provenance(spec: ExperimentSpec) -> dict:
     """The spec with every default materialized, for the results header."""
-    data_defaults = {"copy": {"vocab_size": 16, "length": 6, "n_train": 2048,
-                              "n_dev": 64, "n_test": 128, "data_seed": 1234}}
-    data_defaults["reverse"] = data_defaults["copy"]
-    if spec.task == "toy_translate":
-        task_params = dataclasses.asdict(ToyTranslateSpec(**spec.task_params))
-    elif spec.task == "window_classify":
-        task_params = dataclasses.asdict(WindowClassifySpec(**spec.task_params))
-    else:
-        task_params = {**data_defaults[spec.task], **spec.task_params}
     out = {
         "type": "spec",
         "task": spec.task,
-        "task_params": task_params,
+        "task_params": dataclasses.asdict(TASK_SPECS[spec.task](**spec.task_params)),
         "model": spec.model,
         "train": dataclasses.asdict(TrainConfig(**spec.train)),
         "relax_grid": [dataclasses.asdict(s) for s in spec.relax_grid],
@@ -389,11 +390,8 @@ def provenance(spec: ExperimentSpec) -> dict:
 
 
 def _write_rows(path: Path, header: dict, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        f.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in rows:
-            f.write(json.dumps(_jsonable(row), sort_keys=True) + "\n")
+    write_atomic(path, "".join(json.dumps(_jsonable(r), sort_keys=True) + "\n"
+                               for r in [header, *rows]))
 
 
 def summarize(rows: list[dict]) -> dict:
@@ -418,31 +416,15 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1,
                    output_dir: str | None = None) -> dict[str, Path]:
     """Run every (setting, seed) cell; write results.jsonl and summary.json."""
     out_dir = Path(output_dir or spec.output_dir)
-    cells = [(i, seed) for i in range(len(spec.relax_grid)) for seed in spec.seeds]
-    spec_dict = provenance(spec)
-    spec_dict.pop("type")
-    spec_for_job = {k: v for k, v in spec_dict.items() if k != "note"}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_cell_job, spec_for_job, i, s) for i, s in cells]
-            shards = [f.result() for f in futures]
-    else:
-        data = build_task_data(spec.task, spec.task_params)
-        shards = []
-        for i, seed in cells:
-            try:
-                shards.append(run_cell(spec, data, spec.relax_grid[i], seed))
-            except Exception as err:
-                shards.append([{"type": "cell_failed",
-                                "setting": spec.relax_grid[i].label,
-                                "seed": seed,
-                                "error": f"{type(err).__name__}: {err}"}])
+    cells = [(setting, seed) for setting in spec.relax_grid for seed in spec.seeds]
+    shards = _run_cells(spec, cells, workers)
     rows = sorted((r for shard in shards for r in shard), key=_row_sort_key)
     results_path = out_dir / "results.jsonl"
     _write_rows(results_path, provenance(spec), rows)
     summary_path = out_dir / "summary.json"
     summary = {"spec": provenance(spec), **summarize(rows)}
-    summary_path.write_text(json.dumps(_jsonable(summary), sort_keys=True, indent=1))
+    write_atomic(summary_path, json.dumps(_jsonable(summary), sort_keys=True,
+                                          indent=1))
     return {"results": results_path, "summary": summary_path}
 
 
@@ -475,44 +457,27 @@ def gamma_sweep(spec: ExperimentSpec, workers: int = 1,
     bit-exactly under the same seed.
     """
     grid = resolve_gamma_grid(spec)
-    sweep_grid = tuple(RelaxSetting(site=site, gamma=float(g), mode=MODE_TRAIN_ONLY)
-                       for site, gammas in grid.items() for g in gammas)
+    # dict.fromkeys: a gamma listed twice for a site is one cell
+    sweep_grid = tuple(dict.fromkeys(
+        RelaxSetting(site=site, gamma=float(g), mode=MODE_TRAIN_ONLY)
+        for site, gammas in grid.items() for g in gammas))
     sweep_spec = dataclasses.replace(spec, relax_grid=sweep_grid, lm=None)
-
+    cells = [(setting, seed) for setting in sweep_grid for seed in spec.seeds]
     rows: list[tuple] = []
-    if workers > 1:
-        spec_dict = provenance(sweep_spec)
-        spec_dict.pop("type")
-        spec_dict.pop("note")
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for i, setting in enumerate(sweep_spec.relax_grid):
-                for seed in sweep_spec.seeds:
-                    futures[(setting.site, setting.gamma, seed)] = pool.submit(
-                        _cell_job, spec_dict, i, seed)
-            results = {k: f.result() for k, f in futures.items()}
-    else:
-        data = build_task_data(sweep_spec.task, sweep_spec.task_params)
-        results = {}
-        for setting in sweep_spec.relax_grid:
-            for seed in sweep_spec.seeds:
-                results[(setting.site, setting.gamma, seed)] = run_cell(
-                    sweep_spec, data, setting, seed)
-    for (site, gamma, seed), cell_rows in results.items():
+    for (setting, seed), cell_rows in zip(cells, _run_cells(sweep_spec, cells,
+                                                            workers)):
         dev = [r for r in cell_rows if r.get("split") == "dev"
                and r.get("lm") == LM_NONE]
         if not dev:
-            raise RuntimeError(f"sweep cell ({site}, {gamma}, {seed}) failed: "
-                               f"{cell_rows}")
-        rows.append((site, gamma, seed, dev[0]["metric"], dev[0]["value"]))
+            raise RuntimeError(f"sweep cell ({setting.site}, {setting.gamma}, "
+                               f"{seed}) failed: {cell_rows}")
+        rows.append((setting.site, setting.gamma, seed, dev[0]["metric"],
+                     dev[0]["value"]))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    out_dir = Path(output_dir or spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "gamma_sweep.csv"
-    with open(path, "w") as f:
-        f.write("site,gamma,seed,metric,value\n")
-        for site, gamma, seed, metric, value in rows:
-            f.write(f"{site},{gamma:g},{seed},{metric},{value!r}\n")
+    path = Path(output_dir or spec.output_dir) / "gamma_sweep.csv"
+    write_atomic(path, "site,gamma,seed,metric,value\n" + "".join(
+        f"{site},{gamma:g},{seed},{metric},{value!r}\n"
+        for site, gamma, seed, metric, value in rows))
     return path
 
 

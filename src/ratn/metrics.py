@@ -31,23 +31,25 @@ def edit_align(ref, hyp) -> EditAlignment:
 
     Among minimal alignments the backtrace prefers the diagonal, i.e. a
     substitution over an insertion+deletion pair, so counts are deterministic.
+    The cost table is nested Python lists: element access on a NumPy array
+    costs several times more in this loop.
     """
     r, h = list(ref), list(hyp)
     nr, nh = len(r), len(h)
-    cost = np.zeros((nr + 1, nh + 1), dtype=np.int64)
-    cost[:, 0] = np.arange(nr + 1)
-    cost[0, :] = np.arange(nh + 1)
+    cost = [list(range(nh + 1))]
     for i in range(1, nr + 1):
+        prev, row = cost[-1], [i] * (nh + 1)
         for j in range(1, nh + 1):
-            diag = cost[i - 1, j - 1] + (r[i - 1] != h[j - 1])
-            cost[i, j] = min(diag, cost[i - 1, j] + 1, cost[i, j - 1] + 1)
+            row[j] = min(prev[j - 1] + (r[i - 1] != h[j - 1]), prev[j] + 1,
+                         row[j - 1] + 1)
+        cost.append(row)
     d = ins = sub = 0
     i, j = nr, nh
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] + (r[i - 1] != h[j - 1]):
+        if i > 0 and j > 0 and cost[i][j] == cost[i - 1][j - 1] + (r[i - 1] != h[j - 1]):
             sub += int(r[i - 1] != h[j - 1])
             i, j = i - 1, j - 1
-        elif i > 0 and cost[i, j] == cost[i - 1, j] + 1:
+        elif i > 0 and cost[i][j] == cost[i - 1][j] + 1:
             d += 1
             i -= 1
         else:

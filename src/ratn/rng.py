@@ -51,8 +51,5 @@ class RngStream:
         """Float mask with entries 1 (probability keep_prob) or 0."""
         return (self._gen.random(size=shape) < keep_prob).astype(np.float64)
 
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id!r})"

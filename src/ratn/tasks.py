@@ -30,6 +30,18 @@ class ParallelCorpus:
         return len(self.sources)
 
 
+@dataclass(frozen=True)
+class CopyTaskSpec:
+    """Vocabulary, sequence length and split sizes of copy and reverse."""
+
+    vocab_size: int = 16
+    length: int = 6
+    n_train: int = 2048
+    n_dev: int = 64
+    n_test: int = 128
+    data_seed: int = 1234
+
+
 def gen_copy_task(rng: RngStream, vocab_size: int, length: int,
                   n: int) -> ParallelCorpus:
     """Pairs with target == source, tokens i.i.d. uniform over content ids."""
@@ -111,10 +123,6 @@ class ToyTranslateSpec:
     @property
     def vocab_size(self) -> int:
         return self.tgt_variant_base + 2 * self.n_ambiguous
-
-    @property
-    def seq_len(self) -> int:
-        return 2 * self.slots
 
     def context_is_class_a(self, ctx_id: int) -> bool:
         return (ctx_id - self.ctx_base) % 2 == 0
@@ -255,3 +263,9 @@ def gen_window_classify(spec: WindowClassifySpec) -> WindowClassifyData:
         dev=_classify_corpus(spec, templates, rng.child("dev"), spec.n_dev),
         test=_classify_corpus(spec, templates, rng.child("test"), spec.n_test),
         templates=templates)
+
+
+# Every task's parameter spec: the one table of task defaults.
+TASK_SPECS = {"copy": CopyTaskSpec, "reverse": CopyTaskSpec,
+              "toy_translate": ToyTranslateSpec,
+              "window_classify": WindowClassifySpec}

@@ -9,7 +9,7 @@ output tensors referencing it.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class GraphCycleError(RuntimeError):
 
 
 _grad_enabled = True
-_finite_checks = False
 
 
 class no_grad:
@@ -41,12 +40,6 @@ class no_grad:
         return False
 
 
-def set_finite_checks(enabled: bool) -> None:
-    """Assert all newly created tensors are NaN/Inf-free (debug mode)."""
-    global _finite_checks
-    _finite_checks = bool(enabled)
-
-
 class Tensor:
     """A float64 array with an optional gradient buffer.
 
@@ -62,8 +55,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], tuple] | None = None
-        if _finite_checks and not np.all(np.isfinite(self.data)):
-            raise FloatingPointError("non-finite values in tensor")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -79,9 +70,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -241,17 +229,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     return _node(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    datas = [t.data for t in tensors]
-    out = np.concatenate(datas, axis=axis)
-    splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _node(out, tuple(tensors), vjp)
 
 
 def take(a: Tensor, key) -> Tensor:

@@ -1,8 +1,10 @@
-"""Label-smoothed cross-entropy, Adam, and the phase-gated train loop."""
+"""Label-smoothed cross-entropy, Adam, and the one phase-gated train loop,
+fit(); train() and window_classifier.train_classifier() wrap it."""
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +16,8 @@ from .tensor import Tensor, backward, clamp_min, log, mul, tsum
 from .transformer import BOS_ID, EOS_ID, Seq2SeqModel
 
 PROB_FLOOR = 1e-12
+# dev pairs decoded by each sequence-accuracy evaluation in train()
+EVAL_LIMIT = 64
 
 
 class TrainingDiverged(RuntimeError):
@@ -126,41 +130,59 @@ def sequence_accuracy(model: Seq2SeqModel, sources: np.ndarray,
     return hits / len(sources)
 
 
-def train(model: Seq2SeqModel, sources: np.ndarray, targets: np.ndarray,
-          cfg: TrainConfig, dev: tuple[np.ndarray, np.ndarray] | None = None,
-          eval_limit: int = 64) -> list[dict]:
-    """Teacher-forced training with relaxation gated by phase.
+def fit(model, n: int, loss_fn: Callable[[np.ndarray], Tensor],
+        cfg: TrainConfig, evaluate: Callable[[], float] | None = None) -> list[dict]:
+    """The one training loop, shared by every model in the library.
 
-    Steps run with phase TRAIN (dropout and relaxation active); the periodic
-    dev evaluation runs with phase EVAL (relaxation per its mode, drawing no
-    randomness, so it never perturbs the training streams). Returns one
-    record per step: {step, loss, eval_acc, gamma_effective}.
+    Each step draws batch_size indices into the n training examples from the
+    "batch" stream, takes loss_fn(idx) (a Phase.TRAIN forward), backpropagates
+    it and applies one Adam update. evaluate, if given, runs every eval_every
+    steps and at the last step; its value is the record's eval_acc, and
+    training stops once that reaches cfg.target_eval_acc. Returns one record
+    per step: {step, loss, eval_acc, gamma_effective}, the last being the
+    mean of every relaxation coefficient in model.last_gammas.
     """
     params = model.parameters()
     state = AdamState.init(params)
     batches = RngStream(cfg.seed, "batch")
     records: list[dict] = []
-    n = len(sources)
     for step in range(1, cfg.steps + 1):
-        idx = batches.integers(0, n, cfg.batch_size)
-        y_in, y_out = teacher_forcing_pair(targets[idx])
-        probs = model.forward_teacher_forced(sources[idx], y_in, Phase.TRAIN)
-        loss = label_smoothed_nll(probs, y_out, cfg.label_smoothing)
+        loss = loss_fn(batches.integers(0, n, cfg.batch_size))
         loss_val = loss.item()
         if not np.isfinite(loss_val):
             raise TrainingDiverged(f"loss became {loss_val} at step {step}")
         model.zero_grad()
         backward(loss)
         adam_step(params, {k: t.grad for k, t in params.items()}, state, cfg)
-        gammas = model.last_gammas["self"] + model.last_gammas["cross"]
+        gammas = [g for site in model.last_gammas.values() for g in site]
         record = {"step": step, "loss": loss_val, "eval_acc": None,
                   "gamma_effective": float(np.mean(gammas)) if gammas else 0.0}
-        if dev is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
-            dsrc, dtgt = dev
-            limit = min(eval_limit, len(dsrc))
-            record["eval_acc"] = sequence_accuracy(model, dsrc[:limit], dtgt[:limit])
+        if evaluate is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
+            record["eval_acc"] = evaluate()
         records.append(record)
         if (cfg.target_eval_acc is not None and record["eval_acc"] is not None
                 and record["eval_acc"] >= cfg.target_eval_acc):
             break
     return records
+
+
+def train(model: Seq2SeqModel, sources: np.ndarray, targets: np.ndarray,
+          cfg: TrainConfig,
+          dev: tuple[np.ndarray, np.ndarray] | None = None) -> list[dict]:
+    """Teacher-forced seq2seq training through fit().
+
+    Steps run with phase TRAIN (dropout and relaxation active); the dev
+    evaluation, the sequence accuracy of the first EVAL_LIMIT dev pairs, runs
+    with phase EVAL (relaxation per its mode, drawing no randomness, so it
+    never perturbs the training streams).
+    """
+    def loss_fn(idx):
+        y_in, y_out = teacher_forcing_pair(targets[idx])
+        probs = model.forward_teacher_forced(sources[idx], y_in, Phase.TRAIN)
+        return label_smoothed_nll(probs, y_out, cfg.label_smoothing)
+
+    evaluate = None
+    if dev is not None:
+        evaluate = lambda: sequence_accuracy(model, dev[0][:EVAL_LIMIT],
+                                             dev[1][:EVAL_LIMIT])
+    return fit(model, len(sources), loss_fn, cfg, evaluate)

@@ -11,6 +11,7 @@ decoder one position at a time over a DecoderState of cached keys/values.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -26,16 +27,6 @@ PAD_ID = 0
 BOS_ID = 1
 EOS_ID = 2
 NUM_SPECIAL = 3
-
-# (residual, activation, attention) dropout presets used by full-scale
-# recipes for the corresponding task families; the library default is 0.1
-# everywhere at desk scale.
-DROPOUT_PRESETS = {
-    "speech": (0.2, 0.2, 0.2),
-    "lipreading": (0.1, 0.1, 0.0),
-    "translation": (0.3, 0.1, 0.1),
-}
-
 
 def check_token_sequence(tokens, vocab_size: int) -> np.ndarray:
     """Validate indices and the at-most-one-terminal-EOS convention."""
@@ -214,29 +205,14 @@ class Seq2SeqModel:
         self.last_gammas: dict[str, list[float]] = {"self": [], "cross": []}
 
     def parameters(self) -> dict[str, Tensor]:
+        """Every learned tensor by name, e.g. "dec.1.cross_attn.wq", in a fixed
+        order: embeddings, block fields in declaration order, output layer."""
         out: dict[str, Tensor] = {"emb_enc": self.emb_enc, "emb_dec": self.emb_dec}
-        for i, blk in enumerate(self.enc_blocks):
-            for k, t in blk.attn.tensors().items():
-                out[f"enc.{i}.attn.{k}"] = t
-            for k, t in blk.ln1.tensors().items():
-                out[f"enc.{i}.ln1.{k}"] = t
-            for k, t in blk.ff.tensors().items():
-                out[f"enc.{i}.ff.{k}"] = t
-            for k, t in blk.ln2.tensors().items():
-                out[f"enc.{i}.ln2.{k}"] = t
-        for i, blk in enumerate(self.dec_blocks):
-            for k, t in blk.self_attn.tensors().items():
-                out[f"dec.{i}.self_attn.{k}"] = t
-            for k, t in blk.ln1.tensors().items():
-                out[f"dec.{i}.ln1.{k}"] = t
-            for k, t in blk.cross_attn.tensors().items():
-                out[f"dec.{i}.cross_attn.{k}"] = t
-            for k, t in blk.ln2.tensors().items():
-                out[f"dec.{i}.ln2.{k}"] = t
-            for k, t in blk.ff.tensors().items():
-                out[f"dec.{i}.ff.{k}"] = t
-            for k, t in blk.ln3.tensors().items():
-                out[f"dec.{i}.ln3.{k}"] = t
+        for prefix, blocks in (("enc", self.enc_blocks), ("dec", self.dec_blocks)):
+            for i, blk in enumerate(blocks):
+                for f in dataclasses.fields(blk):
+                    for k, t in getattr(blk, f.name).tensors().items():
+                        out[f"{prefix}.{i}.{f.name}.{k}"] = t
         out["out_w"] = self.out_w
         out["out_b"] = self.out_b
         return out

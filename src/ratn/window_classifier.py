@@ -15,9 +15,8 @@ import numpy as np
 
 from .attention import (Phase, RelaxationConfig, WindowAttnParams, windowed_mha)
 from .rng import RngStream
-from .tensor import Tensor, backward, matmul, softmax_rows
-from .training import AdamState, TrainConfig, TrainingDiverged, adam_step, \
-    label_smoothed_nll
+from .tensor import Tensor, matmul, softmax_rows
+from .training import TrainConfig, fit, label_smoothed_nll
 from .transformer import LayerNormParams
 
 
@@ -87,26 +86,10 @@ class WindowClassifier:
 def train_classifier(model: WindowClassifier, inputs: np.ndarray,
                      labels: np.ndarray, cfg: TrainConfig,
                      dev: tuple[np.ndarray, np.ndarray] | None = None) -> list[dict]:
-    """Label-smoothed training loop mirroring the seq2seq one."""
-    params = model.parameters()
-    state = AdamState.init(params)
-    batches = RngStream(cfg.seed, "batch")
-    records: list[dict] = []
-    n = len(labels)
-    for step in range(1, cfg.steps + 1):
-        idx = batches.integers(0, n, cfg.batch_size)
+    """Label-smoothed training through training.fit; dev accuracy as eval_acc."""
+    def loss_fn(idx):
         probs = model.forward(inputs[idx], Phase.TRAIN)
-        loss = label_smoothed_nll(probs, labels[idx], cfg.label_smoothing)
-        loss_val = loss.item()
-        if not np.isfinite(loss_val):
-            raise TrainingDiverged(f"loss became {loss_val} at step {step}")
-        model.zero_grad()
-        backward(loss)
-        adam_step(params, {k: t.grad for k, t in params.items()}, state, cfg)
-        gammas = model.last_gammas["window"]
-        record = {"step": step, "loss": loss_val, "eval_acc": None,
-                  "gamma_effective": float(np.mean(gammas)) if gammas else 0.0}
-        if dev is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
-            record["eval_acc"] = model.accuracy(dev[0], dev[1])
-        records.append(record)
-    return records
+        return label_smoothed_nll(probs, labels[idx], cfg.label_smoothing)
+
+    evaluate = None if dev is None else (lambda: model.accuracy(*dev))
+    return fit(model, len(labels), loss_fn, cfg, evaluate)

@@ -166,6 +166,16 @@ def test_checkpoint_config_mismatch_names_tensor(tmp_path):
         load_model(path, config=wrong)
 
 
+def test_write_tensors_failure_keeps_old_checkpoint(tmp_path):
+    path = tmp_path / "m.ratn"
+    write_tensors(path, {"a": np.arange(3.0)})
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        write_tensors(path, {"a": np.zeros(5), "\udc80": np.ones(2)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ratn"]
+
+
 def test_checkpoint_version_check(tmp_path):
     path = tmp_path / "v.ratn"
     write_tensors(path, {"a": np.zeros(2)})
@@ -230,6 +240,13 @@ def test_experiment_summary_aggregates_across_seeds(tmp_path):
     assert entry["std"] >= 0.0
 
 
+@pytest.mark.parametrize("task", ["copy", "reverse", "toy_translate",
+                                  "window_classify"])
+def test_spec_rejects_unknown_task_params(task):
+    with pytest.raises(ValueError, match="n_trian"):
+        ExperimentSpec(task=task, task_params={"n_trian": 10})
+
+
 def test_experiment_records_failed_cells(tmp_path):
     spec = fast_spec(tmp_path, train={**FAST_TRAIN, "steps": 5},
                      model={**FAST_MODEL, "vocab_size": 6})  # too small vocab
@@ -279,6 +296,19 @@ def test_gamma_sweep_shape_and_baseline_equivalence(tmp_path):
         site, gamma, seed, metric, value = line.split(",")
         if float(gamma) == 0.0:
             assert float(value) == base_dev[int(seed)]
+
+
+def test_gamma_sweep_failed_cell_raises_alike_at_any_worker_count(tmp_path):
+    spec = fast_spec(tmp_path, train={**FAST_TRAIN, "steps": 2},
+                     gamma_grid={"window": [0.0]})
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(RuntimeError, match=r"sweep cell \(window, 0.0, 0\)"
+                                               r" failed") as err:
+            gamma_sweep(spec, workers=workers)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "window_classify task only" in messages[0]
 
 
 def test_gamma_sweep_requires_zero_point(tmp_path):
@@ -444,12 +474,6 @@ def test_fuzzy_setting_fills_default_variance():
     setting = RelaxSetting(site="window", gamma=0.1, fuzzy=True, mode="matched")
     assert setting.sigma2 == 0.03 ** 2
     assert setting.relaxation().fuzzy
-
-
-def test_dropout_presets_documented():
-    from ratn.transformer import DROPOUT_PRESETS
-    assert DROPOUT_PRESETS["speech"] == (0.2, 0.2, 0.2)
-    assert DROPOUT_PRESETS["translation"] == (0.3, 0.1, 0.1)
 
 
 def test_cli_decode_lambda_default_is_speech_recipe(tmp_path):

@@ -63,6 +63,17 @@ def test_classifier_learns_the_patterns():
     assert after > max(before, 0.7)
 
 
+def test_classifier_training_stops_at_target_eval_acc():
+    data = gen_window_classify(SPEC)
+    model = WindowClassifier(CFG, seed=5)
+    recs = train_classifier(model, data.train.inputs, data.train.labels,
+                            TrainConfig(steps=20, batch_size=8, seed=5,
+                                        eval_every=5, target_eval_acc=0.0),
+                            dev=(data.dev.inputs, data.dev.labels))
+    assert [r["step"] for r in recs] == [1, 2, 3, 4, 5]
+    assert recs[-1]["eval_acc"] is not None
+
+
 def test_classifier_training_is_deterministic():
     data = gen_window_classify(SPEC)
     finals = []
