@@ -7,12 +7,11 @@ all on a small float64 autodiff core.
 """
 
 from .attention import (MODE_MATCHED, MODE_OFF, MODE_TRAIN_ONLY, MhaParams,
-                        Phase, RelaxationConfig, WindowAttnParams,
-                        attention_dropout, attention_head, multi_head_attention,
-                        relax_weights, sample_fuzzy_gamma,
+                        Phase, RelaxationConfig, WindowAttnParams, dropout,
+                        multi_head_attention, relax_weights, sample_fuzzy_gamma,
                         smoothed_focus_weights, window_merge, window_partition,
                         windowed_mha)
-from .decoding import (BeamHypothesis, BigramLm, LmScorer, beam_search,
+from .decoding import (BeamHypothesis, BigramLm, beam_search,
                        beam_search_batch, bigram_lm_train, greedy_decode,
                        shallow_fusion)
 from .metrics import EditAlignment, attention_entropy, corpus_bleu, edit_align, wer
@@ -25,12 +24,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOS_ID", "BeamHypothesis", "BigramLm", "EOS_ID", "EditAlignment",
-    "LmScorer", "MODE_MATCHED", "MODE_OFF", "MODE_TRAIN_ONLY", "MhaParams",
-    "ModelConfig", "PAD_ID", "Phase", "RelaxationConfig", "RngStream",
-    "Seq2SeqModel", "Tensor", "TrainConfig", "WindowAttnParams", "adam_step",
-    "attention_dropout", "attention_entropy", "attention_head", "backward",
-    "beam_search", "beam_search_batch", "bigram_lm_train", "corpus_bleu",
-    "edit_align", "finite_diff_grad", "greedy_decode", "label_smoothed_nll",
+    "MODE_MATCHED", "MODE_OFF", "MODE_TRAIN_ONLY", "MhaParams", "ModelConfig",
+    "PAD_ID", "Phase", "RelaxationConfig", "RngStream", "Seq2SeqModel",
+    "Tensor", "TrainConfig", "WindowAttnParams", "adam_step",
+    "attention_entropy", "backward", "beam_search", "beam_search_batch",
+    "bigram_lm_train", "corpus_bleu", "dropout", "edit_align",
+    "finite_diff_grad", "greedy_decode", "label_smoothed_nll",
     "multi_head_attention", "no_grad", "relax_weights", "sample_fuzzy_gamma",
     "shallow_fusion", "smoothed_focus_weights", "train", "wer",
     "window_merge", "window_partition", "windowed_mha",

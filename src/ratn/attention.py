@@ -1,11 +1,11 @@
 """Attention-weight machinery.
 
-Scaled dot-product multi-head attention plus the regularizers built on top of
-it: relaxed attention (a convex blend of the row-stochastic weights with the
+One attention kernel, multi_head_attention, and the regularizers built on it:
+relaxed attention (a convex blend of the row-stochastic weights with the
 uniform distribution over key positions), its fuzzy variant (the relaxation
 coefficient drawn from a normal distribution during training), smoothed focus
 (sigmoid-normalized weights instead of softmax), windowed attention with a
-relative position bias, and attention dropout applied after relaxation.
+relative position bias, and dropout, used at every dropout site.
 """
 
 from __future__ import annotations
@@ -123,21 +123,20 @@ def smoothed_focus_weights(e: Tensor) -> Tensor:
     return s / s.sum(axis=-1, keepdims=True)
 
 
-def attention_dropout(g: Tensor, p: float, rng: RngStream | None,
-                      phase: Phase) -> Tensor:
-    """Inverted dropout on attention weights.
+def dropout(g: Tensor, p: float, rng: RngStream | None, phase: Phase) -> Tensor:
+    """Inverted dropout, at every site: attention weights, residual, activation.
 
     Training zeroes entries with probability p and scales survivors by
-    1/(1-p); eval is the identity. Rows may leave the probability simplex
-    afterwards -- expected, the weights are no longer probabilities. p == 0
-    draws no randomness.
+    1/(1-p); eval is the identity. On attention weights, rows may leave the
+    probability simplex afterwards -- expected, the weights are no longer
+    probabilities. p == 0 draws no randomness.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if phase == Phase.EVAL or p == 0.0:
         return g
     if rng is None:
-        raise ValueError("attention dropout needs an RngStream in training")
+        raise ValueError("dropout needs an RngStream in training")
     mask = rng.bernoulli_mask(g.shape, 1.0 - p) / (1.0 - p)
     return mul(g, mask)
 
@@ -247,62 +246,27 @@ def _attention_weights(e: Tensor, weight_fn: str) -> Tensor:
     raise ValueError(f"weight_fn must be one of {_WEIGHT_FNS}, got {weight_fn!r}")
 
 
-def attention_head(q: Tensor, k: Tensor, v: Tensor, params: MhaParams,
-                   head: int, mask: np.ndarray | None = None,
-                   relax: RelaxationConfig | None = None,
-                   weight_fn: str = WEIGHT_SOFTMAX, dropout_p: float = 0.0,
-                   rng: RngStream | None = None,
-                   phase: Phase = Phase.EVAL) -> tuple[Tensor, Tensor]:
-    """One attention head: logits, weights, relaxation, dropout, values.
-
-    Logits are Q W_q (K W_k)^T scaled by 1/sqrt(d_model). Returns the head
-    output [L, d/n_heads] and the post-relaxation weights (before dropout)
-    for inspection.
-    """
-    d, nh = params.d_model, params.n_heads
-    if q.shape[-1] != d or k.shape[-1] != d or v.shape[-1] != d:
-        raise ShapeError(f"q/k/v feature dims {q.shape[-1]}/{k.shape[-1]}/"
-                         f"{v.shape[-1]} must equal model dim {d}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"key length {k.shape[-2]} != value length {v.shape[-2]}")
-    dh = d // nh
-    cols = slice(head * dh, (head + 1) * dh)
-    qi = matmul(q, params.w_q[:, cols])
-    ki = matmul(k, params.w_k[:, cols])
-    vi = matmul(v, params.w_v[:, cols])
-    e = mul(matmul(qi, transpose(ki, (1, 0))), 1.0 / math.sqrt(d))
-    if mask is not None:
-        e = e + mask
-    weights = _attention_weights(e, weight_fn)
-    gamma = sample_fuzzy_gamma(relax, rng, phase)
-    weights = relax_weights(weights, gamma, k.shape[-2])
-    dropped = attention_dropout(weights, dropout_p, rng, phase)
-    return matmul(dropped, vi), weights
-
-
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params: MhaParams,
-                         mask: np.ndarray | None = None,
                          relax: RelaxationConfig | None = None,
                          weight_fn: str = WEIGHT_SOFTMAX,
                          dropout_p: float = 0.0,
                          rng: RngStream | None = None,
                          phase: Phase = Phase.EVAL, *,
                          gamma_rng: RngStream | None = None,
-                         bias: Tensor | None = None,
+                         bias: Tensor | np.ndarray | None = None,
                          scale: float | None = None,
-                         relax_length: int | None = None,
                          gamma_out: list | None = None,
-                         weights_out: list | None = None,
                          cache: KvCache | None = None) -> Tensor:
-    """All heads at once, concatenated and passed through the output layer.
+    """The attention kernel: logits, weights, relaxation, dropout, values.
 
-    q/k/v may carry arbitrary leading batch axes. One relaxation coefficient
-    is resolved per call and shared by every head (and every batch element);
-    fuzzy draws come from gamma_rng (default rng) so they never perturb the
-    dropout stream. The keyword-only extras serve the windowed variant
-    (additive per-head bias, alternative logit scale, fixed relaxation
-    length), diagnostics, and incremental decoding (cache: the keys and
-    values attended over come from, and go into, a KvCache).
+    Per head, logits Q W_q (K W_k)^T are scaled by 1/sqrt(d_model) (or
+    `scale`), plus the additive `bias`: the decoder's causal mask array or
+    the windowed variant's position-bias Tensor. q/k/v may carry leading
+    batch axes. One relaxation coefficient per call, shared by every head and
+    batch element; fuzzy draws come from gamma_rng only, so they never
+    perturb the dropout stream rng. gamma_out collects an active site's
+    coefficient; with a cache, keys and values come from, and go into, a
+    KvCache (incremental decoding).
     """
     d, nh = params.d_model, params.n_heads
     if q.shape[-1] != d or k.shape[-1] != d or v.shape[-1] != d:
@@ -319,17 +283,12 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params: MhaParams,
     e = mul(matmul(qh, kt), scale if scale is not None else 1.0 / math.sqrt(d))
     if bias is not None:
         e = e + bias
-    if mask is not None:
-        e = e + mask
     weights = _attention_weights(e, weight_fn)
-    gamma = sample_fuzzy_gamma(relax, gamma_rng if gamma_rng is not None else rng,
-                               phase)
-    weights = relax_weights(weights, gamma, relax_length or kh.shape[-2])
+    gamma = sample_fuzzy_gamma(relax, gamma_rng, phase)
+    weights = relax_weights(weights, gamma, kh.shape[-2])
     if gamma_out is not None and relax is not None and relax.active:
         gamma_out.append(gamma)
-    if weights_out is not None:
-        weights_out.append(weights)
-    dropped = attention_dropout(weights, dropout_p, rng, phase)
+    dropped = dropout(weights, dropout_p, rng, phase)
     out = _merge_heads(matmul(dropped, vh))
     return matmul(out, params.w_o)
 
@@ -411,8 +370,7 @@ def windowed_mha(x: Tensor, params: WindowAttnParams,
                  dropout_p: float = 0.0, rng: RngStream | None = None,
                  phase: Phase = Phase.EVAL, *,
                  gamma_rng: RngStream | None = None,
-                 gamma_out: list | None = None,
-                 weights_out: list | None = None) -> Tensor:
+                 gamma_out: list | None = None) -> Tensor:
     """Self-attention within non-overlapping m x m windows.
 
     Logits get the relative position bias added before normalization and are
@@ -426,6 +384,5 @@ def windowed_mha(x: Tensor, params: WindowAttnParams,
         windows, windows, windows, params.mha,
         relax=relax, dropout_p=dropout_p, rng=rng, phase=phase,
         gamma_rng=gamma_rng, bias=position_bias(params),
-        scale=1.0 / math.sqrt(c / 4.0), relax_length=m * m,
-        gamma_out=gamma_out, weights_out=weights_out)
+        scale=1.0 / math.sqrt(c / 4.0), gamma_out=gamma_out)
     return window_merge(out, m, h, w)

@@ -54,6 +54,8 @@ def cmd_train(args) -> int:
     if spec.task == "window_classify":
         raise SystemExit("use `ratn experiment` for the window_classify task")
     out = _out_dir(args, spec)
+    if not 0 <= args.setting < len(spec.relax_grid):
+        raise SystemExit(f"--setting must be in 0..{len(spec.relax_grid) - 1}")
     data = build_task_data(spec.task, spec.task_params)
     setting = spec.relax_grid[args.setting]
     seed = spec.seeds[0]
@@ -89,6 +91,8 @@ def cmd_decode(args) -> int:
     if args.lm != LM_NONE:
         if spec.lm is None:
             raise SystemExit("spec has no lm section")
+        if args.lm not in data.text:
+            raise SystemExit(f"task {spec.task!r} has no {args.lm!r} LM corpus")
         lm = bigram_lm_train(data.text[args.lm], model.config.vocab_size,
                              spec.lm.k)
     lam = args.lm_lambda if lm is not None else 0.0

@@ -1,18 +1,19 @@
 """Autoregressive decoding with beam search and shallow LM fusion.
 
-Fused scores are log P(model) + lambda * log P(LM), accumulated per emitted
-token and never renormalized. A hypothesis finishes when it emits EOS; the
-search for a source stops once its best unfinished score drops below its
-best finished score minus eos_margin (margin 0: no unfinished hypothesis can
-still win), or at max_len. Final ranking divides scores by emitted-token
-count.
+Fused scores are log P(model) + lambda * log P(LM), with a BigramLm as the
+LM, accumulated per emitted token and never renormalized. A hypothesis
+finishes when it emits EOS; the search for a source stops once its best
+unfinished score drops below its best finished score minus eos_margin
+(margin 0: no unfinished hypothesis can still win), or at max_len. Final
+ranking divides scores by emitted-token count.
 
 Search runs over a corpus batch: the live hypotheses of every unfinished
 source form one decoder batch of rows, and each step runs the decoder on
 only the newest token of each row. Earlier positions live in the model's
 DecoderState, a per-layer cache of projected self-attention keys/values
 (plus the cross-attention keys/values of the encoder output, projected
-once), gathered by beam parent after every step. A call holds at most
+once), gathered by beam parent after every step and read by
+multi_head_attention through its cache argument. A call holds at most
 MAX_ROWS_PER_CALL rows, so a split is searched in groups of sources; the
 bookkeeping is per source, so no result depends on a source's neighbours.
 beam_search, for one source, is the N=1 case; greedy_decode stays as the
@@ -21,7 +22,6 @@ straight-line reference that beam=1 reproduces.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,16 +52,8 @@ class BeamHypothesis:
         return self.score / max(1, len(self.tokens) - 1)
 
 
-class LmScorer(abc.ABC):
-    """Token-level language model over the decoder's vocabulary."""
-
-    @abc.abstractmethod
-    def log_probs(self, prefix) -> np.ndarray:
-        """Normalized log-distribution over all tokens given a prefix."""
-
-
-class BigramLm(LmScorer):
-    """Add-k smoothed bigram model on a D x D transition count matrix."""
+class BigramLm:
+    """Add-k smoothed bigram LM on a D x D transition count matrix."""
 
     def __init__(self, counts: np.ndarray, k: float):
         if k <= 0:
@@ -76,6 +68,7 @@ class BigramLm(LmScorer):
         self._log_cond = np.log(counts + k) - np.log(totals + k * d)
 
     def log_probs(self, prefix) -> np.ndarray:
+        """Normalized log-distribution over all tokens given a prefix."""
         context = int(prefix[-1])
         return self._log_cond[context]
 
@@ -125,7 +118,7 @@ def greedy_decode(model: Seq2SeqModel, h: Tensor, max_len: int) -> list[int]:
 
 
 def beam_search(model: Seq2SeqModel, h: Tensor, beam: int,
-                lm: LmScorer | None = None, lam: float = 0.0,
+                lm: BigramLm | None = None, lam: float = 0.0,
                 max_len: int = 16, eos_margin: float = 0.0) -> list[BeamHypothesis]:
     """Beam search for one source, h [T, d]: the N=1 case of beam_search_batch.
 
@@ -139,7 +132,7 @@ def beam_search(model: Seq2SeqModel, h: Tensor, beam: int,
 
 
 def beam_search_batch(model: Seq2SeqModel, h: Tensor, beam: int,
-                      lm: LmScorer | None = None, lam: float = 0.0,
+                      lm: BigramLm | None = None, lam: float = 0.0,
                       max_len: int = 16,
                       eos_margin: float = 0.0) -> list[list[BeamHypothesis]]:
     """Beam search for every source of an encoded batch h [N, T, d].

@@ -55,7 +55,7 @@ class RelaxSetting:
     """One point of the relaxation grid: where and how much to relax."""
 
     site: str = "none"  # none | self | cross | window
-    gamma: float = 0.0
+    gamma: float | None = None  # None: DEFAULT_FUZZY_GAMMA0 if fuzzy, else 0
     sigma2: float = 0.0
     mode: str = MODE_TRAIN_ONLY
     fuzzy: bool = False
@@ -65,6 +65,9 @@ class RelaxSetting:
             raise ValueError(f"unknown relaxation site {self.site!r}")
         if self.mode not in _MODES:
             raise ValueError(f"unknown relaxation mode {self.mode!r}")
+        if self.gamma is None:
+            object.__setattr__(self, "gamma",
+                               DEFAULT_FUZZY_GAMMA0 if self.fuzzy else 0.0)
         if self.fuzzy and self.sigma2 <= 0.0:
             object.__setattr__(self, "sigma2", DEFAULT_FUZZY_SIGMA2)
 

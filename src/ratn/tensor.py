@@ -105,12 +105,6 @@ class Tensor:
     def __getitem__(self, key):
         return take(self, key)
 
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
@@ -308,11 +302,6 @@ def sigmoid(a: Tensor) -> Tensor:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:

@@ -1,12 +1,14 @@
 """Toy-scale encoder-decoder transformer.
 
 Token embeddings scaled by sqrt(d) plus sinusoidal positions, post-norm
-blocks (add, then normalize), ReLU feed-forward, and three dropout sites:
-residual (sub-layer outputs before the residual add, also on embeddings),
-activation (after ReLU), and attention (on the attention weights, after
-relaxation). Encoder self-attention and decoder cross attention can be
-relaxed; decoder masked self-attention never is. Inference can also run the
-decoder one position at a time over a DecoderState of cached keys/values.
+blocks (add, then normalize), ReLU feed-forward, and three dropout sites,
+all through attention.dropout: residual (sub-layer outputs before the
+residual add, also on embeddings), activation (after ReLU), and attention
+(on the attention weights, after relaxation). Every attention site runs
+attention.multi_head_attention, the decoder's causal mask as its bias. Encoder
+self-attention and decoder cross attention can be relaxed; decoder masked
+self-attention never is. Inference can also run the decoder one position at
+a time over a DecoderState of cached keys/values.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import (KvCache, MhaParams, Phase, RelaxationConfig,
-                        WEIGHT_SOFTMAX, causal_mask, multi_head_attention)
+                        WEIGHT_SOFTMAX, causal_mask, dropout,
+                        multi_head_attention)
 from .rng import RngStream
 from .tensor import (Tensor, embedding, layer_norm, matmul, mul, relu,
                      softmax_rows)
@@ -70,19 +73,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {p}")
         if self.vocab_size <= NUM_SPECIAL:
             raise ValueError(f"vocab_size must exceed {NUM_SPECIAL} reserved ids")
-
-    def param_count(self) -> int:
-        """Closed-form total parameter count.
-
-        Per encoder block: 4 d^2 attention projections, a feed-forward pair
-        (2 d d_ff + d_ff + d) and two layer norms (4 d). Decoder blocks carry
-        two attention sites (8 d^2) and three norms (6 d). Plus two D x d
-        embeddings and the d x D (+ D bias) output layer.
-        """
-        d, dff, dv = self.d_model, self.d_ff, self.vocab_size
-        enc = 4 * d * d + 2 * d * dff + dff + d + 4 * d
-        dec = 8 * d * d + 2 * d * dff + dff + d + 6 * d
-        return 2 * dv * d + self.n_enc * enc + self.n_dec * dec + d * dv + dv
 
 
 def sinusoidal_positions(max_len: int, d: int) -> np.ndarray:
@@ -223,12 +213,6 @@ class Seq2SeqModel:
 
     # -- forward pieces ----------------------------------------------------
 
-    def _dropout(self, t: Tensor, p: float, phase: Phase) -> Tensor:
-        if phase == Phase.EVAL or p == 0.0:
-            return t
-        mask = self._rng_dropout.bernoulli_mask(t.shape, 1.0 - p) / (1.0 - p)
-        return mul(t, mask)
-
     def _embed(self, table: Tensor, tokens: np.ndarray, phase: Phase,
                offset: int = 0) -> Tensor:
         length = offset + tokens.shape[-1]
@@ -237,11 +221,11 @@ class Seq2SeqModel:
                              f"{self.config.max_len}")
         x = mul(embedding(table, tokens), math.sqrt(self.config.d_model))
         x = x + self.pos[offset:length]
-        return self._dropout(x, self.config.dropout_residual, phase)
+        return dropout(x, self.config.dropout_residual, self._rng_dropout, phase)
 
     def encode(self, tokens, phase: Phase = Phase.EVAL) -> Tensor:
         """Encode source tokens ([T] or [B, T]) into [.., T, d_model]."""
-        cfg = self.config
+        cfg, rng, p = self.config, self._rng_dropout, self.config.dropout_residual
         arr = check_token_sequence(tokens, cfg.vocab_size)
         self.last_gammas["self"] = []
         x = self._embed(self.emb_enc, arr, phase)
@@ -249,16 +233,16 @@ class Seq2SeqModel:
             a = multi_head_attention(
                 x, x, x, blk.attn, relax=cfg.relax_self,
                 weight_fn=cfg.weight_fn_self, dropout_p=cfg.dropout_attention,
-                rng=self._rng_dropout, phase=phase, gamma_rng=self._rng_gamma,
+                rng=rng, phase=phase, gamma_rng=self._rng_gamma,
                 gamma_out=self.last_gammas["self"])
-            x = blk.ln1(x + self._dropout(a, cfg.dropout_residual, phase))
+            x = blk.ln1(x + dropout(a, p, rng, phase))
             f = self._ffn(blk.ff, x, phase)
-            x = blk.ln2(x + self._dropout(f, cfg.dropout_residual, phase))
+            x = blk.ln2(x + dropout(f, p, rng, phase))
         return x
 
     def _ffn(self, ff: FeedForward, x: Tensor, phase: Phase) -> Tensor:
         h = relu(matmul(x, ff.w1) + ff.b1)
-        h = self._dropout(h, self.config.dropout_activation, phase)
+        h = dropout(h, self.config.dropout_activation, self._rng_dropout, phase)
         return matmul(h, ff.w2) + ff.b2
 
     def _decode_from_embeddings(self, h: Tensor, y: Tensor, phase: Phase,
@@ -268,7 +252,7 @@ class Seq2SeqModel:
         With a state, y is the one newest position of each row and attends
         over the cached positions before it, so no causal mask is needed.
         """
-        cfg = self.config
+        cfg, rng, p = self.config, self._rng_dropout, self.config.dropout_residual
         mask = causal_mask(y.shape[-2]) if state is None else None
         self.last_gammas["cross"] = []
         x = y
@@ -276,18 +260,17 @@ class Seq2SeqModel:
             self_cache, cross_cache = (state.caches[i] if state is not None
                                        else (None, None))
             a = multi_head_attention(
-                x, x, x, blk.self_attn, mask=mask,
-                dropout_p=cfg.dropout_attention, rng=self._rng_dropout,
-                phase=phase, cache=self_cache)
-            x = blk.ln1(x + self._dropout(a, cfg.dropout_residual, phase))
+                x, x, x, blk.self_attn, bias=mask, dropout_p=cfg.dropout_attention,
+                rng=rng, phase=phase, cache=self_cache)
+            x = blk.ln1(x + dropout(a, p, rng, phase))
             c = multi_head_attention(
                 x, h, h, blk.cross_attn, relax=cfg.relax_cross,
                 weight_fn=cfg.weight_fn_cross, dropout_p=cfg.dropout_attention,
-                rng=self._rng_dropout, phase=phase, gamma_rng=self._rng_gamma,
+                rng=rng, phase=phase, gamma_rng=self._rng_gamma,
                 gamma_out=self.last_gammas["cross"], cache=cross_cache)
-            x = blk.ln2(x + self._dropout(c, cfg.dropout_residual, phase))
+            x = blk.ln2(x + dropout(c, p, rng, phase))
             f = self._ffn(blk.ff, x, phase)
-            x = blk.ln3(x + self._dropout(f, cfg.dropout_residual, phase))
+            x = blk.ln3(x + dropout(f, p, rng, phase))
         return softmax_rows(matmul(x, self.out_w) + self.out_b)
 
     def decode_probs(self, h: Tensor, y_tokens, phase: Phase = Phase.EVAL) -> Tensor:

@@ -9,8 +9,8 @@ import pytest
 
 from helpers import rel_err, random_stochastic_rows
 from ratn.attention import (MASK_SENTINEL, MhaParams, Phase, RelaxationConfig,
-                            WindowAttnParams, attention_dropout, attention_head,
-                            causal_mask, multi_head_attention,
+                            WindowAttnParams, causal_mask, dropout,
+                            multi_head_attention,
                             position_bias, relative_position_index,
                             relax_weights, sample_fuzzy_gamma,
                             smoothed_focus_weights, window_merge,
@@ -18,7 +18,7 @@ from ratn.attention import (MASK_SENTINEL, MhaParams, Phase, RelaxationConfig,
 from ratn.metrics import attention_entropy
 from ratn.rng import RngStream
 from ratn.tensor import (ShapeError, Tensor, backward, finite_diff_grad,
-                         matmul, softmax_rows)
+                         softmax_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +199,14 @@ def test_smoothed_focus_fully_masked_row_errors():
 
 def test_attention_dropout_identity_cases():
     g = Tensor(random_stochastic_rows(RngStream(9, "t"), (3, 4)))
-    assert attention_dropout(g, 0.0, None, Phase.TRAIN) is g
-    assert attention_dropout(g, 0.7, None, Phase.EVAL) is g
+    assert dropout(g, 0.0, None, Phase.TRAIN) is g
+    assert dropout(g, 0.7, None, Phase.EVAL) is g
 
 
 def test_attention_dropout_survivor_statistics():
     rng = RngStream(10, "dropout")
     g = Tensor(np.ones((400, 250)))
-    out = attention_dropout(g, 0.5, rng, Phase.TRAIN).data
+    out = dropout(g, 0.5, rng, Phase.TRAIN).data
     survivors = np.count_nonzero(out)
     assert abs(survivors / out.size - 0.5) < 0.01
     assert np.allclose(out[out != 0], 2.0)  # inverted scaling by 1/(1-p)
@@ -215,7 +215,7 @@ def test_attention_dropout_survivor_statistics():
 def test_attention_dropout_validates_p():
     g = Tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        attention_dropout(g, 1.0, None, Phase.TRAIN)
+        dropout(g, 1.0, None, Phase.TRAIN)
 
 
 # ---------------------------------------------------------------------------
@@ -232,57 +232,56 @@ def _straight_line_head(q, k, v, params, head):
     e = (q @ wq) @ (k @ wk).T / math.sqrt(d)
     w = np.exp(e - e.max(axis=-1, keepdims=True))
     w = w / w.sum(axis=-1, keepdims=True)
-    return w @ (v @ wv), w
+    return w @ (v @ wv)
 
 
-def test_attention_head_matches_straight_line_oracle():
+def test_mha_matches_straight_line_oracle():
     rng = RngStream(11, "t")
-    params = MhaParams.init(6, 2, RngStream(12, "init"))
-    q = rng.normal((2, 6))
-    kv = rng.normal((3, 6))
-    for head in (0, 1):
-        out, weights = attention_head(Tensor(q), Tensor(kv), Tensor(kv),
-                                      params, head)
-        ref_out, ref_w = _straight_line_head(q, kv, kv, params, head)
-        assert rel_err(out.data, ref_out) < 1e-12
-        assert rel_err(weights.data, ref_w) < 1e-12
+    for d, nh in ((6, 2), (6, 1)):
+        params = MhaParams.init(d, nh, RngStream(12, "init"))
+        q = rng.normal((2, d))
+        kv = rng.normal((3, d))
+        out = multi_head_attention(Tensor(q), Tensor(kv), Tensor(kv), params)
+        heads = [_straight_line_head(q, kv, kv, params, head)
+                 for head in range(nh)]
+        ref = np.concatenate(heads, axis=-1) @ params.w_o.data
+        assert rel_err(out.data, ref) < 1e-12
 
 
-def test_attention_head_single_key_position():
+def test_mha_single_key_position():
     rng = RngStream(13, "t")
-    params = MhaParams.init(4, 1, RngStream(14, "init"))
+    params = MhaParams.init(4, 2, RngStream(14, "init"))
     q = Tensor(rng.normal((3, 4)))
     kv = Tensor(rng.normal((1, 4)))
+    expected = np.broadcast_to(kv.data @ params.w_v.data @ params.w_o.data, (3, 4))
     for gamma in (0.0, 0.4, 1.0):
         relax = RelaxationConfig(gamma0=gamma, mode="matched")
-        _, weights = attention_head(q, kv, kv, params, 0, relax=relax,
-                                    phase=Phase.EVAL)
-        assert np.all(weights.data == 1.0)
+        out = multi_head_attention(q, kv, kv, params, relax=relax,
+                                   phase=Phase.EVAL)
+        assert rel_err(out.data, expected) < 1e-12
 
 
-def test_attention_head_gamma_one_ignores_query():
+def test_mha_gamma_one_ignores_query():
     rng = RngStream(15, "t")
     params = MhaParams.init(4, 2, RngStream(16, "init"))
     kv = Tensor(rng.normal((5, 4)))
     relax = RelaxationConfig(gamma0=1.0, mode="matched")
-    out1, _ = attention_head(Tensor(rng.normal((2, 4))), kv, kv, params, 0,
-                             relax=relax, phase=Phase.EVAL)
-    out2, _ = attention_head(Tensor(rng.normal((2, 4))), kv, kv, params, 0,
-                             relax=relax, phase=Phase.EVAL)
+    out1 = multi_head_attention(Tensor(rng.normal((2, 4))), kv, kv, params,
+                                relax=relax, phase=Phase.EVAL)
+    out2 = multi_head_attention(Tensor(rng.normal((2, 4))), kv, kv, params,
+                                relax=relax, phase=Phase.EVAL)
     assert np.abs(out1.data - out2.data).max() < 1e-12
-    expected = (kv.data @ params.w_v.data[:, :2]).mean(axis=0)
-    assert rel_err(out1.data, np.broadcast_to(expected, (2, 2))) < 1e-12
+    expected = (kv.data @ params.w_v.data).mean(axis=0) @ params.w_o.data
+    assert rel_err(out1.data, np.broadcast_to(expected, (2, 4))) < 1e-12
 
 
-def test_mha_single_head_equals_attention_head_plus_projection():
-    rng = RngStream(17, "t")
-    params = MhaParams.init(6, 1, RngStream(18, "init"))
-    q = Tensor(rng.normal((4, 6)))
-    kv = Tensor(rng.normal((3, 6)))
-    full = multi_head_attention(q, kv, kv, params)
-    head_out, _ = attention_head(q, kv, kv, params, 0)
-    manual = matmul(head_out, params.w_o)
-    assert rel_err(full.data, manual.data) < 1e-12
+def test_mha_fuzzy_draws_never_come_from_the_dropout_stream():
+    params = MhaParams.init(4, 2, RngStream(40, "init"))
+    x = Tensor(RngStream(41, "t").normal((3, 4)))
+    relax = RelaxationConfig(gamma0=0.1, sigma2=0.0009, mode="matched", fuzzy=True)
+    with pytest.raises(ValueError, match="fuzzy relaxation needs an RngStream"):
+        multi_head_attention(x, x, x, params, relax=relax,
+                             rng=RngStream(42, "dropout"), phase=Phase.TRAIN)
 
 
 def test_mha_self_attention_aliasing_equivalence():

@@ -446,6 +446,24 @@ def test_cli_output_root_env(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "root" / "rel_out" / "results.jsonl").exists()
 
 
+@pytest.mark.parametrize("setting", [1, -1])
+def test_cli_train_rejects_setting_out_of_range(tmp_path, setting):
+    spec_path = _write_spec(tmp_path)
+    with pytest.raises(SystemExit, match=r"--setting must be in 0\.\.0"):
+        cli_main(["train", "--spec", str(spec_path), "--setting", str(setting)])
+
+
+def test_cli_decode_rejects_lm_corpus_the_task_lacks(tmp_path):
+    # the copy task has only an in-domain text corpus
+    spec_path = _write_spec(tmp_path)
+    ckpt = tmp_path / "model.ratn"
+    save_model(Seq2SeqModel(ModelConfig(**FAST_MODEL, vocab_size=10, max_len=8)),
+               ckpt)
+    with pytest.raises(SystemExit, match="no 'extended' LM corpus"):
+        cli_main(["decode", "--spec", str(spec_path), "--checkpoint", str(ckpt),
+                  "--lm", "extended", "--output-dir", str(tmp_path / "out")])
+
+
 def test_cli_lm_corpus_accepts_single_string(tmp_path):
     # "corpus" (singular) is normalized into the corpora list
     spec_path = _write_spec(tmp_path, lm={"corpus": "in_domain",
@@ -468,6 +486,17 @@ def test_default_search_grids():
     assert DEFAULT_LAMBDA_GRID == (0.05, 0.1, 0.15, 0.2)
     assert DEFAULT_FUZZY_GAMMA0 == 0.1
     assert abs(DEFAULT_FUZZY_SIGMA2 - 0.03 ** 2) < 1e-15
+
+
+def test_fuzzy_setting_fills_default_gamma():
+    from ratn.experiment import DEFAULT_FUZZY_GAMMA0
+    spec = ExperimentSpec.from_dict({
+        "task": "window_classify",
+        "relax_grid": [{"site": "window", "fuzzy": True}]})
+    assert spec.relax_grid[0].relaxation().gamma0 == DEFAULT_FUZZY_GAMMA0
+    # an explicit gamma, and a plain setting's omitted one, are kept as given
+    assert RelaxSetting(site="window", gamma=0.0, fuzzy=True).gamma == 0.0
+    assert RelaxSetting(site="self").gamma == 0.0
 
 
 def test_fuzzy_setting_fills_default_variance():
