@@ -2,6 +2,7 @@
 windowed attention. Reference values come from straight-line numpy
 re-implementations, closed forms, or finite differences."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -235,17 +236,28 @@ def _straight_line_head(q, k, v, params, head):
     return w @ (v @ wv)
 
 
-def test_mha_matches_straight_line_oracle():
+def test_attention_head_matches_straight_line_oracle():
+    # With an identity output projection, column block i of the kernel's
+    # output is head i's output.
     rng = RngStream(11, "t")
-    for d, nh in ((6, 2), (6, 1)):
-        params = MhaParams.init(d, nh, RngStream(12, "init"))
-        q = rng.normal((2, d))
-        kv = rng.normal((3, d))
-        out = multi_head_attention(Tensor(q), Tensor(kv), Tensor(kv), params)
-        heads = [_straight_line_head(q, kv, kv, params, head)
-                 for head in range(nh)]
-        ref = np.concatenate(heads, axis=-1) @ params.w_o.data
-        assert rel_err(out.data, ref) < 1e-12
+    params = MhaParams.init(6, 2, RngStream(12, "init"))
+    q = rng.normal((2, 6))
+    kv = rng.normal((3, 6))
+    unprojected = dataclasses.replace(params, w_o=Tensor(np.eye(6)))
+    out = multi_head_attention(Tensor(q), Tensor(kv), Tensor(kv), unprojected)
+    for head in (0, 1):
+        ref = _straight_line_head(q, kv, kv, params, head)
+        assert rel_err(out.data[:, head * 3:(head + 1) * 3], ref) < 1e-12
+
+
+def test_mha_single_head_equals_attention_head_plus_projection():
+    rng = RngStream(17, "t")
+    params = MhaParams.init(6, 1, RngStream(18, "init"))
+    q = rng.normal((4, 6))
+    kv = rng.normal((3, 6))
+    full = multi_head_attention(Tensor(q), Tensor(kv), Tensor(kv), params)
+    manual = _straight_line_head(q, kv, kv, params, 0) @ params.w_o.data
+    assert rel_err(full.data, manual) < 1e-12
 
 
 def test_mha_single_key_position():
