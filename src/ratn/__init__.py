@@ -8,9 +8,8 @@ all on a small float64 autodiff core.
 
 from .attention import (MODE_MATCHED, MODE_OFF, MODE_TRAIN_ONLY, MhaParams,
                         Phase, RelaxationConfig, WindowAttnParams, dropout,
-                        multi_head_attention, relax_weights, sample_fuzzy_gamma,
-                        smoothed_focus_weights, window_merge, window_partition,
-                        windowed_mha)
+                        multi_head_attention, relax_weights,
+                        smoothed_focus_weights, windowed_mha)
 from .decoding import (BeamHypothesis, BigramLm, beam_search,
                        beam_search_batch, bigram_lm_train, greedy_decode,
                        shallow_fusion)
@@ -30,7 +29,6 @@ __all__ = [
     "attention_entropy", "backward", "beam_search", "beam_search_batch",
     "bigram_lm_train", "corpus_bleu", "dropout", "edit_align",
     "finite_diff_grad", "greedy_decode", "label_smoothed_nll",
-    "multi_head_attention", "no_grad", "relax_weights", "sample_fuzzy_gamma",
-    "shallow_fusion", "smoothed_focus_weights", "train", "wer",
-    "window_merge", "window_partition", "windowed_mha",
+    "multi_head_attention", "no_grad", "relax_weights", "shallow_fusion",
+    "smoothed_focus_weights", "train", "wer", "windowed_mha",
 ]

@@ -83,7 +83,7 @@ def sample_fuzzy_gamma(cfg: RelaxationConfig | None, rng: RngStream | None,
         return 0.0
     if phase == Phase.EVAL:
         return cfg.gamma0 if cfg.mode == MODE_MATCHED else 0.0
-    if cfg.fuzzy and cfg.sigma2 > 0.0:
+    if cfg.fuzzy:
         if rng is None:
             raise ValueError("fuzzy relaxation needs an RngStream in training")
         draw = float(rng.normal(mean=cfg.gamma0, std=math.sqrt(cfg.sigma2)))
@@ -91,22 +91,20 @@ def sample_fuzzy_gamma(cfg: RelaxationConfig | None, rng: RngStream | None,
     return cfg.gamma0
 
 
-def relax_weights(g: Tensor, gamma: float, length: int) -> Tensor:
+def relax_weights(g: Tensor, gamma: float) -> Tensor:
     """Blend row-stochastic weights with the uniform distribution.
 
-    Returns (1 - gamma) * g + gamma / length, applied identically to every
-    head. gamma == 0 returns g unchanged (bit-identical). Computed in the
-    anchored form g + gamma * (1/length - g), which is exact when a row is
-    already uniform (e.g. a single key position) for any gamma.
+    Returns (1 - gamma) * g + gamma / L over the L = g.shape[-1] key
+    positions, applied identically to every head. gamma == 0 returns g
+    unchanged (bit-identical). Computed in the anchored form
+    g + gamma * (1/L - g), which is exact when a row is already uniform
+    (e.g. a single key position) for any gamma.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"relaxation coefficient must be in [0, 1], got {gamma}")
-    if g.shape[-1] != length:
-        raise ShapeError(f"relaxation length {length} does not match "
-                         f"key dimension {g.shape[-1]}")
     if gamma == 0.0:
         return g
-    return g + mul(sub(1.0 / length, g), gamma)
+    return g + mul(sub(1.0 / g.shape[-1], g), gamma)
 
 
 def smoothed_focus_weights(e: Tensor) -> Tensor:
@@ -117,10 +115,10 @@ def smoothed_focus_weights(e: Tensor) -> Tensor:
     MASK_SENTINEL get exactly zero weight; a fully masked row is an error.
     """
     s = sigmoid(e)
-    denom = s.data.sum(axis=-1, keepdims=True)
-    if np.any(denom <= 0.0):
+    denom = s.sum(axis=-1, keepdims=True)
+    if np.any(denom.data <= 0.0):
         raise ValueError("smoothed focus undefined: a row has zero total activation")
-    return s / s.sum(axis=-1, keepdims=True)
+    return s / denom
 
 
 def dropout(g: Tensor, p: float, rng: RngStream | None, phase: Phase) -> Tensor:
@@ -285,7 +283,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params: MhaParams,
         e = e + bias
     weights = _attention_weights(e, weight_fn)
     gamma = sample_fuzzy_gamma(relax, gamma_rng, phase)
-    weights = relax_weights(weights, gamma, kh.shape[-2])
+    weights = relax_weights(weights, gamma)
     if gamma_out is not None and relax is not None and relax.active:
         gamma_out.append(gamma)
     dropped = dropout(weights, dropout_p, rng, phase)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -71,10 +72,11 @@ def write_tensors(path, named: dict[str, np.ndarray]) -> None:
 
 
 def _read_exact(f, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, got {len(buf)}")
-    return buf
+    # Checked before reading, so a corrupt length allocates nothing.
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, {left} left")
+    return f.read(n)
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
@@ -91,9 +93,11 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             name = _read_exact(f, name_len).decode("utf-8")
             (ndim,) = struct.unpack("<Q", _read_exact(f, 8))
             dims = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim))
-            n_items = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-            raw = _read_exact(f, 8 * n_items)
-            out[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+            raw = _read_exact(f, 8 * math.prod(dims))
+            try:  # a zero dim beside huge ones passes the length check
+                out[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+            except ValueError:
+                raise CheckpointError(f"tensor {name!r} has invalid dims {dims}") from None
         trailing = f.read(1)
         if trailing:
             raise CheckpointError("trailing bytes after last tensor")
@@ -107,32 +111,21 @@ def save_model(model: Seq2SeqModel, path) -> None:
     write_atomic(str(path) + ".json", json.dumps(sidecar, sort_keys=True, indent=1))
 
 
-def model_config_from_dict(d: dict) -> ModelConfig:
-    d = dict(d)
-    d["relax_self"] = RelaxationConfig(**d["relax_self"])
-    d["relax_cross"] = RelaxationConfig(**d["relax_cross"])
-    return ModelConfig(**d)
+def load_model(path) -> Seq2SeqModel:
+    """Rebuild a model from a checkpoint and its <path>.json sidecar.
 
-
-def load_model(path, config: ModelConfig | None = None) -> Seq2SeqModel:
-    """Rebuild a model from a checkpoint.
-
-    With an explicit config, every stored tensor must match the shape the
-    config implies; mismatches raise naming the offending tensor.
+    Every stored tensor must match the shape the sidecar's config implies;
+    mismatches raise naming the offending tensor.
     """
     tensors = read_tensors(path)
     sidecar_path = Path(str(path) + ".json")
-    if config is None:
-        if not sidecar_path.exists():
-            raise CheckpointError(f"no config given and no sidecar at {sidecar_path}")
-        sidecar = json.loads(sidecar_path.read_text())
-        config = model_config_from_dict(sidecar["config"])
-        seed = int(sidecar.get("seed", 0))
-    else:
-        seed = 0
-        if sidecar_path.exists():
-            seed = int(json.loads(sidecar_path.read_text()).get("seed", 0))
-    model = Seq2SeqModel(config, seed=seed)
+    if not sidecar_path.exists():
+        raise CheckpointError(f"no config sidecar at {sidecar_path}")
+    sidecar = json.loads(sidecar_path.read_text())
+    config = sidecar["config"]
+    for site in ("relax_self", "relax_cross"):
+        config[site] = RelaxationConfig(**config[site])
+    model = Seq2SeqModel(ModelConfig(**config), seed=int(sidecar.get("seed", 0)))
     params = model.parameters()
     missing = set(params) - set(tensors)
     extra = set(tensors) - set(params)

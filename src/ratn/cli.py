@@ -82,6 +82,8 @@ def _split_corpus(data, split: str):
 
 
 def cmd_decode(args) -> int:
+    if args.beam is not None and args.beam < 1:
+        raise SystemExit(f"--beam must be >= 1, got {args.beam}")
     spec = _load_spec(args)
     out = _out_dir(args, spec)
     data = build_task_data(spec.task, spec.task_params)
@@ -96,7 +98,8 @@ def cmd_decode(args) -> int:
         lm = bigram_lm_train(data.text[args.lm], model.config.vocab_size,
                              spec.lm.k)
     lam = args.lm_lambda if lm is not None else 0.0
-    decoded = decode_corpus(model, corpus.sources, args.beam or spec.beam,
+    decoded = decode_corpus(model, corpus.sources,
+                            spec.beam if args.beam is None else args.beam,
                             lm=lm, lam=lam,
                             max_len=corpus.targets.shape[1] + 2,
                             eos_margin=spec.eos_margin)

@@ -61,16 +61,14 @@ class BigramLm:
         counts = np.asarray(counts, dtype=np.float64)
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError(f"counts must be square, got {counts.shape}")
-        self.counts = counts
-        self.k = float(k)
         d = counts.shape[0]
         totals = counts.sum(axis=1, keepdims=True)
         self._log_cond = np.log(counts + k) - np.log(totals + k * d)
 
-    def log_probs(self, prefix) -> np.ndarray:
-        """Normalized log-distribution over all tokens given a prefix."""
-        context = int(prefix[-1])
-        return self._log_cond[context]
+    def log_probs(self, prefixes) -> np.ndarray:
+        """Normalized log-distributions [..., D] over all tokens given
+        prefixes [..., t]: one [t] prefix or a batch of them."""
+        return self._log_cond[np.asarray(prefixes)[..., -1]]
 
 
 def bigram_lm_train(corpus, vocab_size: int, k: float) -> BigramLm:
@@ -176,8 +174,7 @@ def _search_group(model, h, beam, lm, lam, max_len, eos_margin):
         probs = model.decode_next(h, prefixes[:, -1], state)
         step = np.log(np.maximum(probs, _LOG_FLOOR))
         if lm is not None and lam > 0.0:
-            step = shallow_fusion(step, np.stack([lm.log_probs(p) for p in prefixes]),
-                                  lam)
+            step = shallow_fusion(step, lm.log_probs(prefixes), lam)
         total = scores[:, None] + step
         vocab = total.shape[1]
         # Per source, the top `beam` of its (parent, token) grid by a stable

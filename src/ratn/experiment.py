@@ -384,8 +384,7 @@ def provenance(spec: ExperimentSpec) -> dict:
         "seeds": list(spec.seeds),
         "beam": spec.beam,
         "eos_margin": spec.eos_margin,
-        "gamma_grid": spec.gamma_grid or {k: list(v)
-                                          for k, v in DEFAULT_GAMMA_GRID.items()},
+        "gamma_grid": spec.gamma_grid or resolve_gamma_grid(spec),
         "note": "gamma/lambda selection uses the dev split only; "
                 "test is decoded once per selected setting",
     }
@@ -436,8 +435,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1,
 
 
 def resolve_gamma_grid(spec: ExperimentSpec) -> dict[str, list[float]]:
-    """Sweep grid per site; defaults to the standard search sets, and every
-    site's grid must include gamma = 0 (the baseline point)."""
+    """Sweep grid per site; defaults to the standard search sets (the window
+    site's for window_classify), and every site's grid must include gamma = 0
+    (the baseline point). provenance reports this default too."""
     if spec.gamma_grid is not None:
         grid = {site: [float(g) for g in gammas]
                 for site, gammas in spec.gamma_grid.items()}

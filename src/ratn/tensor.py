@@ -2,9 +2,10 @@
 
 Covers exactly the operations the transformer needs. Each operation records
 its inputs and a vector-Jacobian closure on the output node; backward() walks
-the resulting DAG once per call and accumulates into .grad, so repeated
-backward calls without a reset add up. The graph lives only as long as the
-output tensors referencing it.
+the resulting DAG once per call and accumulates into .grad of the leaves
+(tensors with no recorded operation, e.g. parameters), so repeated backward
+calls without a reset add up. Interior nodes keep no .grad. The graph lives
+only as long as the output tensors referencing it.
 """
 
 from __future__ import annotations
@@ -102,9 +103,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __getitem__(self, key):
-        return take(self, key)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
@@ -177,12 +175,8 @@ def div(a, b) -> Tensor:
         return _node(a.data / b.data, (a, b),
                      lambda g: (_unbroadcast(g / b.data, a.shape),
                                 _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
-    if isinstance(a, Tensor):
-        bc = _const(b)
-        return _node(a.data / bc, (a,), lambda g: (_unbroadcast(g / bc, a.shape),))
-    ac = _const(a)
-    return _node(ac / b.data, (b,),
-                 lambda g: (_unbroadcast(-g * ac / (b.data * b.data), b.shape),))
+    bc = _const(b)
+    return _node(a.data / bc, (a,), lambda g: (_unbroadcast(g / bc, a.shape),))
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +217,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     return _node(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
-
-
-def take(a: Tensor, key) -> Tensor:
-    """Indexing/slicing; gradient scatters back (duplicates accumulate)."""
-    out = a.data[key]
-    shape = a.shape
-
-    def vjp(g):
-        full = np.zeros(shape, dtype=np.float64)
-        np.add.at(full, key, g)
-        return (full,)
-
-    return _node(out, (a,), vjp)
 
 
 def embedding(table: Tensor, indices) -> Tensor:
@@ -385,9 +366,11 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/d(tensor) into .grad of every reachable tensor.
+    """Accumulate dLoss/d(leaf) into .grad of every reachable leaf.
 
-    Each call propagates a fresh unit seed, so calling twice doubles the
+    A leaf is a tensor with no recorded operation (_vjp is None), such as a
+    parameter; interior nodes pass their gradient on and keep no .grad. Each
+    call propagates a fresh unit seed, so calling twice doubles the
     accumulated gradients.
     """
     if loss.data.size != 1:
@@ -398,9 +381,9 @@ def backward(loss: Tensor) -> None:
         g = gmap.get(id(node))
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
         if node._vjp is None:
+            if node.requires_grad:
+                node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if not parent.requires_grad:

@@ -113,13 +113,13 @@ def teacher_forcing_pair(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sequence_accuracy(model: Seq2SeqModel, sources: np.ndarray,
-                      targets: np.ndarray, max_len: int | None = None) -> float:
+                      targets: np.ndarray) -> float:
     """Exact-match rate of greedy (beam 1) decodes against references.
 
-    The sources are encoded and searched as one batch.
+    The sources are encoded and searched as one batch, up to two tokens
+    longer than the references.
     """
-    if max_len is None:
-        max_len = targets.shape[1] + 2
+    max_len = targets.shape[1] + 2
     h = model.encode(sources, Phase.EVAL)
     hits = 0
     for (best, *_), ref in zip(beam_search_batch(model, h, 1, max_len=max_len),

@@ -36,11 +36,8 @@ def check_token_sequence(tokens, vocab_size: int) -> np.ndarray:
     arr = np.asarray(tokens, dtype=np.int64)
     if arr.size and (arr.min() < 0 or arr.max() >= vocab_size):
         raise ValueError(f"token id out of range for vocabulary of {vocab_size}")
-    flat = arr.reshape(-1, arr.shape[-1]) if arr.ndim > 1 else arr.reshape(1, -1)
-    for row in flat:
-        eos = np.nonzero(row == EOS_ID)[0]
-        if eos.size > 1 or (eos.size == 1 and eos[0] != len(row) - 1):
-            raise ValueError("EOS must appear at most once, in terminal position")
+    if np.any(arr[..., :-1] == EOS_ID):
+        raise ValueError("EOS must appear at most once, in terminal position")
     return arr
 
 
@@ -276,31 +273,26 @@ class Seq2SeqModel:
     def decode_probs(self, h: Tensor, y_tokens, phase: Phase = Phase.EVAL) -> Tensor:
         """Teacher-forced next-token probabilities for every prefix of y."""
         arr = np.asarray(y_tokens, dtype=np.int64)
-        if arr.shape[-1] > self.config.max_len:
-            raise ValueError(f"target length {arr.shape[-1]} exceeds max_len "
-                             f"{self.config.max_len}")
         if arr.size == 0:
             raise ValueError("target prefix must be non-empty")
         y = self._embed(self.emb_dec, arr, phase)
         return self._decode_from_embeddings(h, y, phase)
 
-    def decode_step(self, h: Tensor, prefix, phase: Phase = Phase.EVAL) -> np.ndarray:
-        """Next-token probability vector given a BOS-started prefix."""
+    def decode_step(self, h: Tensor, prefix) -> np.ndarray:
+        """Eval-phase next-token probability vector given a BOS-started prefix."""
         arr = np.asarray(prefix, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0 or arr[0] != BOS_ID:
             raise ValueError("prefix must be a non-empty sequence starting with BOS")
-        probs = self.decode_probs(h, arr, phase)
-        return probs.data[-1]
+        return self.decode_probs(h, arr).data[-1]
 
-    def decode_step_batch(self, h: Tensor, prefixes: np.ndarray,
-                          phase: Phase = Phase.EVAL) -> np.ndarray:
-        """Next-token probabilities [B, D] for equal-length prefixes [B, t].
+    def decode_step_batch(self, h: Tensor, prefixes: np.ndarray) -> np.ndarray:
+        """Eval-phase next-token probabilities [B, D] for equal-length
+        prefixes [B, t].
 
         Reruns the decoder over every full prefix; decode_next is the
         incremental form that search uses.
         """
-        probs = self.decode_probs(h, prefixes, phase)
-        return probs.data[:, -1, :]
+        return self.decode_probs(h, prefixes).data[:, -1, :]
 
     def new_decoder_state(self) -> DecoderState:
         return DecoderState(len(self.dec_blocks))

@@ -41,7 +41,6 @@ class WindowClassifierConfig:
 class WindowClassifier:
     def __init__(self, config: WindowClassifierConfig, seed: int = 0):
         self.config = config
-        self.seed = seed
         init = RngStream(seed, "init")
         self._rng_dropout = RngStream(seed, "dropout")
         self._rng_gamma = RngStream(seed, "fuzzy-gamma")

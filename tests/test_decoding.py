@@ -85,6 +85,17 @@ def test_bigram_rows_are_normalized():
         assert abs(logsum) < 1e-8
 
 
+def test_bigram_log_probs_of_a_prefix_batch_equal_per_row_results():
+    rng = RngStream(1, "t")
+    lm = bigram_lm_train([rng.integers(3, 8, 5).tolist() for _ in range(20)],
+                         vocab_size=8, k=0.5)
+    prefixes = np.concatenate([np.full((12, 1), BOS_ID),
+                               rng.integers(0, 8, (12, 3))], axis=1)
+    batched = lm.log_probs(prefixes)
+    assert batched.shape == (12, 8)
+    assert np.array_equal(batched, np.stack([lm.log_probs(p) for p in prefixes]))
+
+
 def test_bigram_rejects_bad_k_and_empty_corpus():
     with pytest.raises(ValueError):
         bigram_lm_train([[1]], 4, 0.0)

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,9 +163,38 @@ def test_checkpoint_config_mismatch_names_tensor(tmp_path):
     model = Seq2SeqModel(ModelConfig(**FAST_MODEL, vocab_size=10, max_len=8))
     path = tmp_path / "m.ratn"
     save_model(model, path)
-    wrong = ModelConfig(**{**FAST_MODEL, "d_ff": 48}, vocab_size=10, max_len=8)
+    sidecar_path = tmp_path / "m.ratn.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["config"]["d_ff"] = 48
+    sidecar_path.write_text(json.dumps(sidecar))
     with pytest.raises(CheckpointError, match="enc.0.ff.w1"):
-        load_model(path, config=wrong)
+        load_model(path)
+
+
+_ONE_TENSOR = b"RATN" + struct.pack("<IQ", 1, 1)
+
+
+@pytest.mark.parametrize("header", [
+    _ONE_TENSOR + struct.pack("<Q", 2 ** 62) + b"a",  # name length
+    _ONE_TENSOR + struct.pack("<Q", 1) + b"a" + struct.pack("<Q", 2 ** 60),  # ndim
+    _ONE_TENSOR + struct.pack("<Q", 1) + b"a"
+    + struct.pack("<3Q", 2, 2 ** 40, 2 ** 40),  # dims product overflows int64
+    _ONE_TENSOR + struct.pack("<Q", 1) + b"a"
+    + struct.pack("<3Q", 2, 2 ** 31, 2 ** 31),  # 2**65 data bytes
+    _ONE_TENSOR + struct.pack("<Q", 1) + b"a"
+    + struct.pack("<4Q", 3, 2 ** 40, 2 ** 40, 0),  # zero items, invalid shape
+], ids=["name_len", "ndim", "dims_overflow", "dims_huge", "dims_zero"])
+def test_checkpoint_corrupt_lengths_raise_without_allocating(tmp_path, header):
+    path = tmp_path / "corrupt.ratn"
+    path.write_bytes(header + b"\x00" * 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError):
+            read_tensors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_write_tensors_failure_keeps_old_checkpoint(tmp_path):
@@ -464,6 +495,17 @@ def test_cli_decode_rejects_lm_corpus_the_task_lacks(tmp_path):
                   "--lm", "extended", "--output-dir", str(tmp_path / "out")])
 
 
+@pytest.mark.parametrize("beam", [0, -1])
+def test_cli_decode_rejects_beam_below_one(tmp_path, beam):
+    spec_path = _write_spec(tmp_path)
+    ckpt = tmp_path / "model.ratn"
+    save_model(Seq2SeqModel(ModelConfig(**FAST_MODEL, vocab_size=10, max_len=8)),
+               ckpt)
+    with pytest.raises(SystemExit, match="--beam must be >= 1"):
+        cli_main(["decode", "--spec", str(spec_path), "--checkpoint", str(ckpt),
+                  "--beam", str(beam), "--output-dir", str(tmp_path / "out")])
+
+
 def test_cli_lm_corpus_accepts_single_string(tmp_path):
     # "corpus" (singular) is normalized into the corpora list
     spec_path = _write_spec(tmp_path, lm={"corpus": "in_domain",
@@ -549,3 +591,10 @@ def test_resolve_gamma_grid_defaults():
     win = ExperimentSpec(task="window_classify")
     assert list(resolve_gamma_grid(win)) == ["window"]
     assert 0.0 in resolve_gamma_grid(win)["window"]
+
+
+@pytest.mark.parametrize("task", ["copy", "window_classify"])
+def test_provenance_reports_the_default_gamma_grid_the_sweep_runs(task):
+    from ratn.experiment import provenance, resolve_gamma_grid
+    spec = ExperimentSpec(task=task)
+    assert provenance(spec)["gamma_grid"] == resolve_gamma_grid(spec)

@@ -150,5 +150,5 @@ def test_attention_entropy_rises_under_relaxation():
     g = random_stochastic_rows(rng, (64, 6))
     before = attention_entropy(g)
     for gamma in (0.1, 0.5, 1.0):
-        after = attention_entropy(relax_weights(Tensor(g), gamma, 6))
+        after = attention_entropy(relax_weights(Tensor(g), gamma))
         assert np.all(after >= before - 1e-12)

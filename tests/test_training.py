@@ -159,9 +159,9 @@ def test_gradient_through_relaxation_scales_by_one_minus_gamma():
     backward(downstream(g_plain))
     plain_grad = g_plain.grad.copy()
     g_relaxed = Tensor(g_plain.data.copy(), requires_grad=True)
-    backward(downstream(relax_weights(g_relaxed, gamma, 6)))
+    backward(downstream(relax_weights(g_relaxed, gamma)))
     assert rel_err(g_relaxed.grad, (1 - gamma) * plain_grad) < 1e-12
-    fd = finite_diff_grad(lambda t: downstream(relax_weights(t, gamma, 6)),
+    fd = finite_diff_grad(lambda t: downstream(relax_weights(t, gamma)),
                           g_relaxed)
     assert rel_err(fd, (1 - gamma) * plain_grad) < 1e-6
 

@@ -53,6 +53,14 @@ def test_token_sequence_eos_terminal():
         check_token_sequence([EOS_ID, 4, EOS_ID], 10)
 
 
+def test_token_sequence_eos_terminal_in_every_row_of_a_batch():
+    check_token_sequence([[3, 4, EOS_ID], [5, 6, 7]], 10)
+    for bad in ([[3, 4, EOS_ID], [5, EOS_ID, 7]],
+                [[[3, 4, 5], [6, 7, 8]], [[3, 4, 5], [EOS_ID, 7, EOS_ID]]]):
+        with pytest.raises(ValueError, match="EOS"):
+            check_token_sequence(bad, 10)
+
+
 def test_gamma_zero_matches_mode_off_bit_exactly():
     relaxed = tiny_model(relax_self=RelaxationConfig(gamma0=0.0, mode="train_only"))
     off = tiny_model()
@@ -100,8 +108,9 @@ def test_causality_zero_gradient_to_future_embeddings():
     for pos in range(length):
         emb.grad = None
         probs = model._decode_from_embeddings(h, emb, Phase.EVAL)
-        loss = -probs[pos, 4].sum()
-        backward(loss)
+        pick = np.zeros(probs.shape)
+        pick[pos, 4] = 1.0  # selects probability (pos, 4)
+        backward(-(probs * pick).sum())
         future = emb.grad[pos + 1:]
         assert np.all(future == 0.0)
         assert np.abs(emb.grad[: pos + 1]).max() > 0
