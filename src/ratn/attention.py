@@ -197,9 +197,9 @@ def _merge_heads(x: Tensor) -> Tensor:
     return reshape(t, (*lead, length, n_heads * dh))
 
 
-def _project_kv(k: Tensor, v: Tensor, params: MhaParams) -> tuple[Tensor, Tensor]:
-    return (_split_heads(matmul(k, params.w_k), params.n_heads),
-            _split_heads(matmul(v, params.w_v), params.n_heads))
+def _project_kv(kv: Tensor, params: MhaParams) -> tuple[Tensor, Tensor]:
+    return (_split_heads(matmul(kv, params.w_k), params.n_heads),
+            _split_heads(matmul(kv, params.w_v), params.n_heads))
 
 
 class KvCache:
@@ -220,10 +220,9 @@ class KvCache:
         self.k: np.ndarray | None = None
         self.v: np.ndarray | None = None
 
-    def keys_values(self, k: Tensor, v: Tensor,
-                    params: MhaParams) -> tuple[Tensor, Tensor]:
+    def keys_values(self, kv: Tensor, params: MhaParams) -> tuple[Tensor, Tensor]:
         if self.k is None or not self.static:
-            kh, vh = _project_kv(k, v, params)
+            kh, vh = _project_kv(kv, params)
             if self.k is None:
                 self.k, self.v = kh.data, vh.data
             else:
@@ -244,7 +243,7 @@ def _attention_weights(e: Tensor, weight_fn: str) -> Tensor:
     raise ValueError(f"weight_fn must be one of {_WEIGHT_FNS}, got {weight_fn!r}")
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params: MhaParams,
+def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
                          relax: RelaxationConfig | None = None,
                          weight_fn: str = WEIGHT_SOFTMAX,
                          dropout_p: float = 0.0,
@@ -257,26 +256,25 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params: MhaParams,
                          cache: KvCache | None = None) -> Tensor:
     """The attention kernel: logits, weights, relaxation, dropout, values.
 
-    Per head, logits Q W_q (K W_k)^T are scaled by 1/sqrt(d_model) (or
-    `scale`), plus the additive `bias`: the decoder's causal mask array or
-    the windowed variant's position-bias Tensor. q/k/v may carry leading
-    batch axes. One relaxation coefficient per call, shared by every head and
-    batch element; fuzzy draws come from gamma_rng only, so they never
-    perturb the dropout stream rng. gamma_out collects an active site's
-    coefficient; with a cache, keys and values come from, and go into, a
-    KvCache (incremental decoding).
+    Keys and values are both projections of kv: the queries' own sequence
+    for self-attention, the encoder output for cross attention. Per head,
+    logits Q W_q (KV W_k)^T are scaled by 1/sqrt(d_model) (or `scale`), plus
+    the additive `bias`: the decoder's causal mask array or the windowed
+    variant's position-bias Tensor. q/kv may carry leading batch axes. One
+    relaxation coefficient per call, shared by every head and batch element;
+    fuzzy draws come from gamma_rng only, so they never perturb the dropout
+    stream rng. gamma_out collects an active site's coefficient; with a
+    cache, keys and values come from, and go into, a decoding KvCache.
     """
     d, nh = params.d_model, params.n_heads
-    if q.shape[-1] != d or k.shape[-1] != d or v.shape[-1] != d:
-        raise ShapeError(f"q/k/v feature dims {q.shape[-1]}/{k.shape[-1]}/"
-                         f"{v.shape[-1]} must equal model dim {d}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"key length {k.shape[-2]} != value length {v.shape[-2]}")
+    if q.shape[-1] != d or kv.shape[-1] != d:
+        raise ShapeError(f"q/kv feature dims {q.shape[-1]}/{kv.shape[-1]} "
+                         f"must equal model dim {d}")
     qh = _split_heads(matmul(q, params.w_q), nh)
     if cache is None:
-        kh, vh = _project_kv(k, v, params)
+        kh, vh = _project_kv(kv, params)
     else:
-        kh, vh = cache.keys_values(k, v, params)
+        kh, vh = cache.keys_values(kv, params)
     kt = transpose(kh, (*range(kh.ndim - 2), kh.ndim - 1, kh.ndim - 2))
     e = mul(matmul(qh, kt), scale if scale is not None else 1.0 / math.sqrt(d))
     if bias is not None:
@@ -379,7 +377,7 @@ def windowed_mha(x: Tensor, params: WindowAttnParams,
     m = params.window
     windows = window_partition(x, m)
     out = multi_head_attention(
-        windows, windows, windows, params.mha,
+        windows, windows, params.mha,
         relax=relax, dropout_p=dropout_p, rng=rng, phase=phase,
         gamma_rng=gamma_rng, bias=position_bias(params),
         scale=1.0 / math.sqrt(c / 4.0), gamma_out=gamma_out)

@@ -19,11 +19,12 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_model, save_model, write_atomic
-from .decoding import bigram_lm_train
-from .experiment import (ExperimentSpec, LM_NONE, build_task_data,
-                         decode_corpus, gamma_sweep, ilm_suppression_report,
-                         provenance, resolve_model_config, run_experiment)
+from .decoding import bigram_lm_train, decode_corpus
+from .experiment import (ExperimentSpec, LM_NONE, gamma_sweep,
+                         ilm_suppression_report, provenance,
+                         resolve_model_config, run_experiment)
 from .metrics import corpus_bleu, wer
+from .tasks import build_task_data
 from .training import TrainConfig, train
 from .transformer import Seq2SeqModel
 
@@ -84,6 +85,8 @@ def _split_corpus(data, split: str):
 def cmd_decode(args) -> int:
     if args.beam is not None and args.beam < 1:
         raise SystemExit(f"--beam must be >= 1, got {args.beam}")
+    if args.lm != LM_NONE and args.lm_lambda < 0:
+        raise SystemExit(f"--lm-lambda must be >= 0, got {args.lm_lambda}")
     spec = _load_spec(args)
     out = _out_dir(args, spec)
     data = build_task_data(spec.task, spec.task_params)
@@ -216,6 +219,8 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_report_ilm)
 
     args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     return args.fn(args)
 
 

@@ -18,6 +18,9 @@ MAX_ROWS_PER_CALL rows, so a split is searched in groups of sources; the
 bookkeeping is per source, so no result depends on a source's neighbours.
 beam_search, for one source, is the N=1 case; greedy_decode stays as the
 straight-line reference that beam=1 reproduces.
+decode_corpus, the one path from a split to output words, encodes the
+split without taping; a hypothesis's output is its tokens after the leading
+BOS, without a terminal EOS (BeamHypothesis.output).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import Tensor, no_grad
-from .transformer import BOS_ID, EOS_ID, Seq2SeqModel
+from .transformer import BOS_ID, EOS_ID, Phase, Seq2SeqModel
 
 _LOG_FLOOR = 1e-300  # keeps log() finite; scores this low never win
 # Hypothesis rows per decoder call. Bounds the memory of a batched search;
@@ -44,8 +47,9 @@ class BeamHypothesis:
     finished: bool = False
 
     @property
-    def emitted(self) -> list[int]:
-        return self.tokens[1:]
+    def output(self) -> list[int]:
+        """The tokens after the leading BOS, without a terminal EOS."""
+        return self.tokens[1:-1] if self.tokens[-1] == EOS_ID else self.tokens[1:]
 
     @property
     def normalized_score(self) -> float:
@@ -154,6 +158,26 @@ def beam_search_batch(model: Seq2SeqModel, h: Tensor, beam: int,
             out += _search_group(model, Tensor(h.data[start:start + group]),
                                  beam, lm, lam, max_len, eos_margin)
     return out
+
+
+def decode_corpus(model: Seq2SeqModel, sources: np.ndarray, beam: int,
+                  lm: BigramLm | None = None, lam: float = 0.0,
+                  max_len: int | None = None, eos_margin: float = 0.0, *,
+                  h: Tensor | None = None) -> list[tuple[list[int], float]]:
+    """(output, score) of the best beam hypothesis per source.
+
+    The sources are encoded as one batch without taping unless h, their
+    encoder output, is given: a split decoded repeatedly is encoded once.
+    """
+    if len(sources) == 0:
+        return []
+    if h is None:
+        with no_grad():
+            h = model.encode(sources, Phase.EVAL)
+    hyps = beam_search_batch(model, h, beam, lm=lm, lam=lam,
+                             max_len=max_len or model.config.max_len - 2,
+                             eos_margin=eos_margin)
+    return [(best.output, best.score) for best, *_ in hyps]
 
 
 def _search_group(model, h, beam, lm, lam, max_len, eos_margin):

@@ -9,9 +9,10 @@ timestamps, sorted keys, sorted rows, and every default materialized into
 the output for provenance.
 
 run_experiment and gamma_sweep both run their cells through _run_cells: task
-data built once, one _cell_job per cell (in process at workers=1, on a
-process pool above), a cell_failed row for a cell that raises. Output files
-are replaced atomically (checkpoint.write_atomic).
+data built once (tasks.build_task_data), one _cell_job per cell (in process
+at workers=1, on a process pool above), a cell_failed row for a cell that
+raises. Splits are decoded by decoding.decode_corpus, without taping. Output
+files are replaced atomically (checkpoint.write_atomic).
 """
 
 from __future__ import annotations
@@ -27,17 +28,15 @@ import numpy as np
 
 from .attention import MODE_TRAIN_ONLY, RelaxationConfig, _MODES
 from .checkpoint import write_atomic
-from .decoding import BigramLm, beam_search_batch, bigram_lm_train
+from .decoding import BigramLm, bigram_lm_train, decode_corpus
 from .metrics import wer
-from .tasks import (TASK_SPECS, ParallelCorpus, gen_copy_task,
-                    gen_reverse_task, gen_toy_translate, gen_window_classify)
+from .tasks import TASKS, ParallelCorpus, SequenceTaskData, build_task_data
+from .tensor import no_grad
 from .training import TrainConfig, train
-from .transformer import BOS_ID, EOS_ID, ModelConfig, Phase, Seq2SeqModel
-from .rng import RngStream
+from .transformer import ModelConfig, Phase, Seq2SeqModel
 from .window_classifier import (WindowClassifier, WindowClassifierConfig,
                                 train_classifier)
 
-TASKS = tuple(TASK_SPECS)
 LM_NONE = "none"
 
 DEFAULT_GAMMA_GRID = {
@@ -135,7 +134,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}; know {TASKS}")
+            raise ValueError(f"unknown task {self.task!r}; know {tuple(TASKS)}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if not self.relax_grid:
@@ -143,7 +142,7 @@ class ExperimentSpec:
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
         try:
-            TASK_SPECS[self.task](**self.task_params)
+            TASKS[self.task][0](**self.task_params)
         except TypeError as err:  # an unknown key
             raise ValueError(f"bad task_params for {self.task!r}: {err}") from None
 
@@ -177,39 +176,7 @@ def _jsonable(x):
 
 
 # ---------------------------------------------------------------------------
-# task data
-
-
-@dataclass
-class SequenceTaskData:
-    train: ParallelCorpus
-    dev: ParallelCorpus
-    test: ParallelCorpus
-    text: dict[str, np.ndarray]  # lm corpus name -> target-side sequences
-    vocab_size: int
-
-
-def build_task_data(task: str, task_params: dict):
-    if task not in TASK_SPECS:
-        raise ValueError(f"unknown task {task!r}")
-    spec = TASK_SPECS[task](**task_params)
-    if task == "window_classify":
-        return gen_window_classify(spec)
-    if task == "toy_translate":
-        data = gen_toy_translate(spec)
-        return SequenceTaskData(train=data.train, dev=data.dev, test=data.test,
-                                text={"in_domain": data.text_in_domain,
-                                      "extended": data.text_extended},
-                                vocab_size=data.vocab_size)
-    gen = gen_copy_task if task == "copy" else gen_reverse_task
-    rng = RngStream(spec.data_seed, "data")
-    train_c, dev_c, test_c = (
-        gen(rng.child(label), spec.vocab_size, spec.length, n)
-        for label, n in (("train", spec.n_train), ("dev", spec.n_dev),
-                         ("test", spec.n_test)))
-    return SequenceTaskData(train=train_c, dev=dev_c, test=test_c,
-                            text={"in_domain": train_c.targets},
-                            vocab_size=spec.vocab_size)
+# model configs
 
 
 def resolve_model_config(spec: ExperimentSpec, data,
@@ -241,30 +208,7 @@ def resolve_classifier_config(spec: ExperimentSpec, data,
 
 
 # ---------------------------------------------------------------------------
-# decoding and metrics per cell
-
-
-def strip_specials(tokens) -> list[int]:
-    return [int(t) for t in tokens if int(t) not in (BOS_ID, EOS_ID)]
-
-
-def decode_corpus(model: Seq2SeqModel, sources: np.ndarray, beam: int,
-                  lm=None, lam: float = 0.0, max_len: int | None = None,
-                  eos_margin: float = 0.0, *,
-                  h=None) -> list[tuple[list[int], float]]:
-    """Best beam hypothesis per source: (specials-stripped tokens, score).
-
-    The sources are encoded as one batch unless h, their encoder output, is
-    given; callers decoding one split repeatedly pass it to encode once.
-    """
-    if len(sources) == 0:
-        return []
-    if h is None:
-        h = model.encode(sources, Phase.EVAL)
-    hyps = beam_search_batch(model, h, beam, lm=lm, lam=lam,
-                             max_len=max_len or model.config.max_len - 2,
-                             eos_margin=eos_margin)
-    return [(strip_specials(best.tokens), best.score) for best, *_ in hyps]
+# cells
 
 
 def _base_row(setting: RelaxSetting, seed: int) -> dict:
@@ -294,8 +238,9 @@ def run_sequence_cell(spec: ExperimentSpec, data: SequenceTaskData,
             lms[name] = bigram_lm_train(data.text[name], cfg.vocab_size, spec.lm.k)
     max_len = data.train.targets.shape[1] + 2
     rows: list[dict] = []
-    encoded = {"dev": model.encode(data.dev.sources, Phase.EVAL),
-               "test": model.encode(data.test.sources, Phase.EVAL)}
+    with no_grad():
+        encoded = {"dev": model.encode(data.dev.sources, Phase.EVAL),
+                   "test": model.encode(data.test.sources, Phase.EVAL)}
 
     def decode_and_score(split: str, corpus: ParallelCorpus, lm_name: str,
                          lam: float) -> float:
@@ -376,7 +321,7 @@ def provenance(spec: ExperimentSpec) -> dict:
     out = {
         "type": "spec",
         "task": spec.task,
-        "task_params": dataclasses.asdict(TASK_SPECS[spec.task](**spec.task_params)),
+        "task_params": dataclasses.asdict(TASKS[spec.task][0](**spec.task_params)),
         "model": spec.model,
         "train": dataclasses.asdict(TrainConfig(**spec.train)),
         "relax_grid": [dataclasses.asdict(s) for s in spec.relax_grid],

@@ -1,4 +1,6 @@
-"""Synthetic task generators.
+"""Synthetic tasks. TASKS, the one table of tasks, holds each task's
+parameter spec and the builder of the data its cells consume (a
+SequenceTaskData or a WindowClassifyData); build_task_data looks it up.
 
 Copy/reverse are seq2seq sanity tasks. The toy translation task is built so
 an external language model has something real to contribute: a few source
@@ -14,6 +16,7 @@ cannot add much beyond what the model already internalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +31,17 @@ class ParallelCorpus:
 
     def __len__(self) -> int:
         return len(self.sources)
+
+
+@dataclass
+class SequenceTaskData:
+    """Parallel splits of a seq2seq task and its LM text corpora."""
+
+    train: ParallelCorpus
+    dev: ParallelCorpus
+    test: ParallelCorpus
+    text: dict[str, np.ndarray]  # lm corpus name -> target-side sequences
+    vocab_size: int
 
 
 @dataclass(frozen=True)
@@ -57,6 +71,18 @@ def gen_reverse_task(rng: RngStream, vocab_size: int, length: int,
     corpus = gen_copy_task(rng, vocab_size, length, n)
     return ParallelCorpus(sources=corpus.sources,
                           targets=corpus.sources[:, ::-1].copy())
+
+
+def _gen_copy_splits(spec: CopyTaskSpec, gen) -> SequenceTaskData:
+    """Seeded splits of gen; the LM text is the training targets."""
+    rng = RngStream(spec.data_seed, "data")
+    train, dev, test = (
+        gen(rng.child(label), spec.vocab_size, spec.length, n)
+        for label, n in (("train", spec.n_train), ("dev", spec.n_dev),
+                         ("test", spec.n_test)))
+    return SequenceTaskData(train=train, dev=dev, test=test,
+                            text={"in_domain": train.targets},
+                            vocab_size=spec.vocab_size)
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +159,6 @@ class ToyTranslateSpec:
         return self.tgt_variant_base + 2 * j + pick
 
 
-@dataclass
-class ToyTranslateData:
-    spec: ToyTranslateSpec
-    train: ParallelCorpus
-    dev: ParallelCorpus
-    test: ParallelCorpus
-    text_in_domain: np.ndarray  # the training transcripts (target side)
-    text_extended: np.ndarray
-
-    @property
-    def vocab_size(self) -> int:
-        return self.spec.vocab_size
-
-
 def _translate_pair(spec: ToyTranslateSpec, rng: RngStream,
                     restrict_ambiguous_contexts: bool) -> tuple[list[int], list[int]]:
     src: list[int] = []
@@ -183,17 +195,19 @@ def _translate_corpus(spec: ToyTranslateSpec, rng: RngStream, n: int,
         targets=np.array([p[1] for p in pairs], dtype=np.int64))
 
 
-def gen_toy_translate(spec: ToyTranslateSpec) -> ToyTranslateData:
-    """Materialize parallel splits plus both LM text corpora, seeded."""
+def gen_toy_translate(spec: ToyTranslateSpec) -> SequenceTaskData:
+    """Parallel splits plus both LM text corpora, seeded: "in_domain" (the
+    training transcripts) and "extended"."""
     rng = RngStream(spec.data_seed, "data")
     train = _translate_corpus(spec, rng.child("train"), spec.n_train, restrict=True)
     dev = _translate_corpus(spec, rng.child("dev"), spec.n_dev, restrict=False)
     test = _translate_corpus(spec, rng.child("test"), spec.n_test, restrict=False)
     extended = _translate_corpus(spec, rng.child("extended"),
                                  spec.n_text_extended, restrict=False)
-    return ToyTranslateData(spec=spec, train=train, dev=dev, test=test,
-                            text_in_domain=train.targets.copy(),
-                            text_extended=extended.targets)
+    return SequenceTaskData(train=train, dev=dev, test=test,
+                            text={"in_domain": train.targets,
+                                  "extended": extended.targets},
+                            vocab_size=spec.vocab_size)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +279,14 @@ def gen_window_classify(spec: WindowClassifySpec) -> WindowClassifyData:
         templates=templates)
 
 
-# Every task's parameter spec: the one table of task defaults.
-TASK_SPECS = {"copy": CopyTaskSpec, "reverse": CopyTaskSpec,
-              "toy_translate": ToyTranslateSpec,
-              "window_classify": WindowClassifySpec}
+# Every task's parameter spec and data builder: the one table of tasks.
+TASKS = {"copy": (CopyTaskSpec, partial(_gen_copy_splits, gen=gen_copy_task)),
+         "reverse": (CopyTaskSpec, partial(_gen_copy_splits, gen=gen_reverse_task)),
+         "toy_translate": (ToyTranslateSpec, gen_toy_translate),
+         "window_classify": (WindowClassifySpec, gen_window_classify)}
+
+
+def build_task_data(task: str, task_params: dict):
+    """Every split (and LM text corpus) of a task, seeded by its spec."""
+    spec_cls, build = TASKS[task]
+    return build(spec_cls(**task_params))

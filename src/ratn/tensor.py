@@ -19,10 +19,6 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-class GraphCycleError(RuntimeError):
-    """Raised if the recorded operation graph is not acyclic."""
-
-
 _grad_enabled = True
 
 
@@ -185,16 +181,12 @@ def div(a, b) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast."""
-    ad, bd = _const(a), _const(b)
+    ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} @ {bd.shape}")
     out = ad @ bd
-    if not isinstance(a, Tensor):
-        return _node(out, (b,), lambda g: (_unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape),))
-    if not isinstance(b, Tensor):
-        return _node(out, (a,), lambda g: (_unbroadcast(g @ bd.swapaxes(-1, -2), a.shape),))
 
     def vjp(g):
         ga = _unbroadcast(g @ bd.swapaxes(-1, -2), a.shape)
@@ -340,28 +332,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
+    """Every node reachable from root, each after its parents. Acyclic by
+    construction: _node links a node only to tensors that already exist."""
     order: list[Tensor] = []
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
+    entered: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
-        nid = id(node)
         if processed:
-            state[nid] = 2
             order.append(node)
             continue
-        st = state.get(nid, 0)
-        if st == 2:
+        if id(node) in entered:
             continue
-        if st == 1:
-            raise GraphCycleError("operation graph contains a cycle")
-        state[nid] = 1
+        entered.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if state.get(id(p), 0) == 0:
+            if id(p) not in entered:
                 stack.append((p, False))
-            elif state.get(id(p)) == 1:
-                raise GraphCycleError("operation graph contains a cycle")
     return order
 
 

@@ -1,5 +1,6 @@
 """Label-smoothed cross-entropy, Adam, and the one phase-gated train loop,
-fit(); train() and window_classifier.train_classifier() wrap it."""
+fit(); train() and window_classifier.train_classifier() wrap it. train()'s
+dev evaluation, sequence_accuracy, decodes through decoding.decode_corpus."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import Phase
-from .decoding import beam_search_batch
+from .decoding import decode_corpus
 from .rng import RngStream
 from .tensor import Tensor, backward, clamp_min, log, mul, tsum
 from .transformer import BOS_ID, EOS_ID, Seq2SeqModel
@@ -114,19 +115,10 @@ def teacher_forcing_pair(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sequence_accuracy(model: Seq2SeqModel, sources: np.ndarray,
                       targets: np.ndarray) -> float:
-    """Exact-match rate of greedy (beam 1) decodes against references.
-
-    The sources are encoded and searched as one batch, up to two tokens
-    longer than the references.
-    """
-    max_len = targets.shape[1] + 2
-    h = model.encode(sources, Phase.EVAL)
-    hits = 0
-    for (best, *_), ref in zip(beam_search_batch(model, h, 1, max_len=max_len),
-                               targets):
-        out = best.tokens
-        emitted = out[1:-1] if out and out[-1] == EOS_ID else out[1:]
-        hits += int(len(emitted) == len(ref) and np.array_equal(emitted, ref))
+    """Exact-match rate of greedy (beam 1) decode_corpus outputs against
+    references, searched up to two tokens longer than the references."""
+    decoded = decode_corpus(model, sources, 1, max_len=targets.shape[1] + 2)
+    hits = sum(tokens == ref.tolist() for (tokens, _), ref in zip(decoded, targets))
     return hits / len(sources)
 
 

@@ -228,7 +228,7 @@ class Seq2SeqModel:
         x = self._embed(self.emb_enc, arr, phase)
         for blk in self.enc_blocks:
             a = multi_head_attention(
-                x, x, x, blk.attn, relax=cfg.relax_self,
+                x, x, blk.attn, relax=cfg.relax_self,
                 weight_fn=cfg.weight_fn_self, dropout_p=cfg.dropout_attention,
                 rng=rng, phase=phase, gamma_rng=self._rng_gamma,
                 gamma_out=self.last_gammas["self"])
@@ -257,11 +257,11 @@ class Seq2SeqModel:
             self_cache, cross_cache = (state.caches[i] if state is not None
                                        else (None, None))
             a = multi_head_attention(
-                x, x, x, blk.self_attn, bias=mask, dropout_p=cfg.dropout_attention,
+                x, x, blk.self_attn, bias=mask, dropout_p=cfg.dropout_attention,
                 rng=rng, phase=phase, cache=self_cache)
             x = blk.ln1(x + dropout(a, p, rng, phase))
             c = multi_head_attention(
-                x, h, h, blk.cross_attn, relax=cfg.relax_cross,
+                x, h, blk.cross_attn, relax=cfg.relax_cross,
                 weight_fn=cfg.weight_fn_cross, dropout_p=cfg.dropout_attention,
                 rng=rng, phase=phase, gamma_rng=self._rng_gamma,
                 gamma_out=self.last_gammas["cross"], cache=cross_cache)

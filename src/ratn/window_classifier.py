@@ -15,7 +15,7 @@ import numpy as np
 
 from .attention import (Phase, RelaxationConfig, WindowAttnParams, windowed_mha)
 from .rng import RngStream
-from .tensor import Tensor, matmul, softmax_rows
+from .tensor import Tensor, matmul, no_grad, softmax_rows
 from .training import TrainConfig, fit, label_smoothed_nll
 from .transformer import LayerNormParams
 
@@ -78,7 +78,9 @@ class WindowClassifier:
         return softmax_rows(matmul(pooled, self.head_w) + self.head_b)
 
     def accuracy(self, inputs: np.ndarray, labels: np.ndarray) -> float:
-        probs = self.forward(inputs, Phase.EVAL)
+        """Share of argmax predictions equal to labels; no taping."""
+        with no_grad():
+            probs = self.forward(inputs, Phase.EVAL)
         return float(np.mean(np.argmax(probs.data, axis=-1) == labels))
 
 

@@ -242,7 +242,7 @@ def test_attention_head_matches_straight_line_oracle():
     q = rng.normal((2, 6))
     kv = rng.normal((3, 6))
     unprojected = dataclasses.replace(params, w_o=Tensor(np.eye(6)))
-    out = multi_head_attention(Tensor(q), Tensor(kv), Tensor(kv), unprojected)
+    out = multi_head_attention(Tensor(q), Tensor(kv), unprojected)
     for head in (0, 1):
         ref = _straight_line_head(q, kv, kv, params, head)
         assert rel_err(out.data[:, head * 3:(head + 1) * 3], ref) < 1e-12
@@ -253,7 +253,7 @@ def test_mha_single_head_equals_attention_head_plus_projection():
     params = MhaParams.init(6, 1, RngStream(18, "init"))
     q = rng.normal((4, 6))
     kv = rng.normal((3, 6))
-    full = multi_head_attention(Tensor(q), Tensor(kv), Tensor(kv), params)
+    full = multi_head_attention(Tensor(q), Tensor(kv), params)
     manual = _straight_line_head(q, kv, kv, params, 0) @ params.w_o.data
     assert rel_err(full.data, manual) < 1e-12
 
@@ -266,7 +266,7 @@ def test_mha_single_key_position():
     expected = np.broadcast_to(kv.data @ params.w_v.data @ params.w_o.data, (3, 4))
     for gamma in (0.0, 0.4, 1.0):
         relax = RelaxationConfig(gamma0=gamma, mode="matched")
-        out = multi_head_attention(q, kv, kv, params, relax=relax,
+        out = multi_head_attention(q, kv, params, relax=relax,
                                    phase=Phase.EVAL)
         assert rel_err(out.data, expected) < 1e-12
 
@@ -276,9 +276,9 @@ def test_mha_gamma_one_ignores_query():
     params = MhaParams.init(4, 2, RngStream(16, "init"))
     kv = Tensor(rng.normal((5, 4)))
     relax = RelaxationConfig(gamma0=1.0, mode="matched")
-    out1 = multi_head_attention(Tensor(rng.normal((2, 4))), kv, kv, params,
+    out1 = multi_head_attention(Tensor(rng.normal((2, 4))), kv, params,
                                 relax=relax, phase=Phase.EVAL)
-    out2 = multi_head_attention(Tensor(rng.normal((2, 4))), kv, kv, params,
+    out2 = multi_head_attention(Tensor(rng.normal((2, 4))), kv, params,
                                 relax=relax, phase=Phase.EVAL)
     assert np.abs(out1.data - out2.data).max() < 1e-12
     expected = (kv.data @ params.w_v.data).mean(axis=0) @ params.w_o.data
@@ -290,7 +290,7 @@ def test_mha_fuzzy_draws_never_come_from_the_dropout_stream():
     x = Tensor(RngStream(41, "t").normal((3, 4)))
     relax = RelaxationConfig(gamma0=0.1, sigma2=0.0009, mode="matched", fuzzy=True)
     with pytest.raises(ValueError, match="fuzzy relaxation needs an RngStream"):
-        multi_head_attention(x, x, x, params, relax=relax,
+        multi_head_attention(x, x, params, relax=relax,
                              rng=RngStream(42, "dropout"), phase=Phase.TRAIN)
 
 
@@ -298,9 +298,9 @@ def test_mha_self_attention_aliasing_equivalence():
     rng = RngStream(19, "t")
     params = MhaParams.init(8, 2, RngStream(20, "init"))
     h = rng.normal((5, 8))
-    a = multi_head_attention(Tensor(h), Tensor(h), Tensor(h), params)
+    a = multi_head_attention(Tensor(h), Tensor(h), params)
     hh = Tensor(h)
-    b = multi_head_attention(hh, hh, hh, params)
+    b = multi_head_attention(hh, hh, params)
     assert np.array_equal(a.data, b.data)
 
 
@@ -313,7 +313,7 @@ def test_mha_gradient_with_relaxation():
     q = Tensor(rng.normal((5, 8)), requires_grad=True)
 
     def f(t):
-        return (multi_head_attention(t, kv, kv, params, relax=relax,
+        return (multi_head_attention(t, kv, params, relax=relax,
                                      phase=Phase.EVAL) * w).sum()
 
     backward(f(q))
@@ -324,10 +324,7 @@ def test_mha_shape_validation():
     params = MhaParams.init(4, 2, RngStream(23, "init"))
     with pytest.raises(ShapeError):
         multi_head_attention(Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 4))),
-                             Tensor(np.zeros((2, 4))), params)
-    with pytest.raises(ShapeError):
-        multi_head_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))),
-                             Tensor(np.zeros((2, 4))), params)
+                             params)
 
 
 def test_causal_mask_blocks_future():
@@ -385,7 +382,7 @@ def test_windowed_mha_zero_bias_matches_plain_window_attention():
     ref = np.empty_like(x)
     for wi, (r, c) in enumerate([(0, 0), (0, 2), (2, 0), (2, 2)]):
         win = x[r:r + 2, c:c + 2, :].reshape(4, 4)
-        o = multi_head_attention(Tensor(win), Tensor(win), Tensor(win),
+        o = multi_head_attention(Tensor(win), Tensor(win),
                                  params.mha, scale=1.0 / math.sqrt(4 / 4.0))
         ref[r:r + 2, c:c + 2, :] = o.data.reshape(2, 2, 4)
     assert rel_err(out.data, ref) < 1e-12

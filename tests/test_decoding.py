@@ -13,9 +13,8 @@ from helpers import rel_err
 from ratn.attention import Phase
 from ratn import decoding
 from ratn.decoding import (BeamHypothesis, BigramLm, beam_search,
-                           beam_search_batch, bigram_lm_train, greedy_decode,
-                           shallow_fusion)
-from ratn.experiment import decode_corpus, strip_specials
+                           beam_search_batch, bigram_lm_train, decode_corpus,
+                           greedy_decode, shallow_fusion)
 from ratn.rng import RngStream
 from ratn.tensor import Tensor
 from ratn.transformer import BOS_ID, EOS_ID, ModelConfig, Seq2SeqModel
@@ -189,7 +188,7 @@ def test_beam_matches_exhaustive_oracle():
             # non-truncating margin: equivalence is over all lengths
             hyps = beam_search(model, h, beam=256, lm=lm, lam=lam, max_len=4,
                                eos_margin=1e9)
-            assert hyps[0].emitted == best[1]
+            assert hyps[0].tokens[1:] == best[1]
             assert abs(hyps[0].score - best[0]) < 1e-10
 
 
@@ -198,7 +197,7 @@ def test_fusion_linearity_of_accumulated_scores():
     lm = BigramLm(np.abs(RngStream(6, "t").normal((6, 6))) * 3, k=1.0)
     hyps = beam_search(model, h, beam=3, lm=lm, lam=0.3, max_len=5)
     for hyp in hyps[:3]:
-        recomputed = _score_candidate(model, h, hyp.emitted, lm, 0.3)
+        recomputed = _score_candidate(model, h, hyp.tokens[1:], lm, 0.3)
         assert abs(recomputed - hyp.score) < 1e-10
 
 
@@ -310,7 +309,7 @@ def test_decode_corpus_matches_per_source_search(beam, lam, eos_margin):
         assert [hyp.finished for hyp in single] == [hyp.finished for hyp in ref]
         for a, b in zip(single, ref):
             assert abs(a.score - b.score) < 1e-10
-        assert strip_specials(ref[0].tokens) == tokens
+        assert ref[0].output == tokens
         assert abs(ref[0].score - score) < 1e-10
         steps.add(len(ref[0].tokens))
     assert len(steps) > 1  # the sources finish at different steps

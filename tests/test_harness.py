@@ -9,16 +9,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ratn.attention import Phase
 from ratn.checkpoint import (CheckpointError, load_model, read_tensors,
                              save_model, write_tensors)
 from ratn.cli import main as cli_main
 from ratn.decoding import bigram_lm_train
 from ratn.experiment import (ExperimentSpec, LmSpec, RelaxSetting,
                              build_task_data, gamma_sweep,
-                             ilm_suppression_report, run_experiment)
+                             ilm_suppression_report, run_cell, run_experiment)
 from ratn.rng import RngStream
 from ratn.tasks import (ToyTranslateSpec, gen_copy_task, gen_toy_translate)
+from ratn.training import sequence_accuracy
 from ratn.transformer import ModelConfig, Seq2SeqModel
+from ratn.window_classifier import WindowClassifier, WindowClassifierConfig
 
 FAST_MODEL = {"n_enc": 1, "n_dec": 1, "n_heads": 2, "d_model": 16, "d_ff": 32,
               "dropout_residual": 0.0, "dropout_activation": 0.0,
@@ -76,14 +79,14 @@ def test_toy_translate_is_reproducible():
                             data_seed=4)
     a, b = gen_toy_translate(spec), gen_toy_translate(spec)
     assert np.array_equal(a.train.sources, b.train.sources)
-    assert np.array_equal(a.text_extended, b.text_extended)
+    assert np.array_equal(a.text["extended"], b.text["extended"])
 
 
 def test_toy_translate_extended_lm_knows_the_rule_better():
     spec = ToyTranslateSpec(data_seed=5)
     data = gen_toy_translate(spec)
-    lm_in = bigram_lm_train(data.text_in_domain, spec.vocab_size, 0.5)
-    lm_ext = bigram_lm_train(data.text_extended, spec.vocab_size, 0.5)
+    lm_in = bigram_lm_train(data.text["in_domain"], spec.vocab_size, 0.5)
+    lm_ext = bigram_lm_train(data.text["extended"], spec.vocab_size, 0.5)
     # a class-A context never allowed before ambiguous words in training
     ctx = spec.ctx_base + 2
     assert spec.context_is_class_a(ctx)
@@ -306,6 +309,33 @@ def test_window_classify_experiment(tmp_path):
                                             "window_g0.1_matched_fuzzy0.0009"}
 
 
+def test_inference_builds_no_autodiff_graph(tmp_path, monkeypatch):
+    # The encoder outputs that decoding reads (a cell's dev/test encodes, the
+    # encode inside decode_corpus) and the classifier's accuracy
+    # probabilities carry no graph: nothing backpropagates through them.
+    seen = []
+
+    def recording(fn):
+        def wrapper(self, x, phase=Phase.EVAL):
+            out = fn(self, x, phase)
+            if phase == Phase.EVAL:
+                seen.append((fn.__name__, out.requires_grad))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(Seq2SeqModel, "encode", recording(Seq2SeqModel.encode))
+    monkeypatch.setattr(WindowClassifier, "forward",
+                        recording(WindowClassifier.forward))
+    data = build_task_data("copy", FAST_COPY)
+    run_cell(fast_spec(tmp_path), data, RelaxSetting(), 0)
+    model = Seq2SeqModel(ModelConfig(**FAST_MODEL, vocab_size=10, max_len=8))
+    sequence_accuracy(model, data.dev.sources, data.dev.targets)
+    clf = WindowClassifier(WindowClassifierConfig(
+        height=4, width=4, channels=4, window=2, n_classes=3, n_heads=2))
+    clf.accuracy(np.zeros((5, 4, 4, 4)), np.zeros(5, dtype=np.int64))
+    assert seen == [("encode", False)] * 3 + [("forward", False)]
+
+
 # ---------------------------------------------------------------------------
 # gamma sweep
 
@@ -504,6 +534,32 @@ def test_cli_decode_rejects_beam_below_one(tmp_path, beam):
     with pytest.raises(SystemExit, match="--beam must be >= 1"):
         cli_main(["decode", "--spec", str(spec_path), "--checkpoint", str(ckpt),
                   "--beam", str(beam), "--output-dir", str(tmp_path / "out")])
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("ran past an invalid flag")
+
+
+def test_cli_decode_rejects_negative_lm_lambda_before_any_work(tmp_path,
+                                                              monkeypatch):
+    import ratn.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "build_task_data", _never)
+    monkeypatch.setattr(cli_mod, "load_model", _never)
+    with pytest.raises(SystemExit, match="--lm-lambda must be >= 0"):
+        cli_main(["decode", "--spec", str(_write_spec(tmp_path)),
+                  "--checkpoint", str(tmp_path / "model.ratn"),
+                  "--lm", "in_domain", "--lm-lambda", "-1"])
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("command", ["experiment", "sweep-gamma"])
+def test_cli_rejects_workers_below_one(tmp_path, monkeypatch, command, workers):
+    import ratn.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "run_experiment", _never)
+    monkeypatch.setattr(cli_mod, "gamma_sweep", _never)
+    with pytest.raises(SystemExit, match="--workers must be >= 1"):
+        cli_main([command, "--spec", str(_write_spec(tmp_path)),
+                  "--workers", str(workers)])
 
 
 def test_cli_lm_corpus_accepts_single_string(tmp_path):

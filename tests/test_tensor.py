@@ -8,7 +8,7 @@ import pytest
 
 from helpers import rel_err, random_stochastic_rows
 from ratn.rng import RngStream
-from ratn.tensor import (GraphCycleError, ShapeError, Tensor, backward,
+from ratn.tensor import (ShapeError, Tensor, backward,
                          clamp_min, embedding, finite_diff_grad,
                          layer_norm, log, matmul, no_grad, relu, reshape,
                          sigmoid, softmax_rows, transpose, tsum)
@@ -134,7 +134,7 @@ def test_backward_sum_gives_ones():
 
 def test_backward_through_relaxed_softmax():
     rng = RngStream(10, "test")
-    v = rng.normal((5, 2))
+    v = Tensor(rng.normal((5, 2)))
     x = Tensor(rng.normal((3, 5)), requires_grad=True)
 
     def f(t):
@@ -169,14 +169,6 @@ def test_backward_rejects_non_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
         backward(x * 2.0)
-
-
-def test_backward_detects_cycle():
-    x = Tensor([1.0], requires_grad=True)
-    y = x * 2.0
-    y._parents = (y,)  # corrupt the graph on purpose
-    with pytest.raises(GraphCycleError):
-        backward(y.sum())
 
 
 def test_finite_diff_on_sum_of_squares():

@@ -147,7 +147,7 @@ def test_gradient_through_relaxation_scales_by_one_minus_gamma():
     # Identical weights; the gradient that reaches the attention weight
     # matrix shrinks by (1 - gamma) when relaxation is inserted.
     rng = RngStream(1, "t")
-    v = rng.normal((6, 3))
+    v = Tensor(rng.normal((6, 3)))
     w = rng.normal((4, 3))
     gamma = 0.4
     g_plain = Tensor(np.exp(rng.normal((4, 6))), requires_grad=True)
