@@ -5,7 +5,9 @@ relaxed attention (a convex blend of the row-stochastic weights with the
 uniform distribution over key positions), its fuzzy variant (the relaxation
 coefficient drawn from a normal distribution during training), smoothed focus
 (sigmoid-normalized weights instead of softmax), windowed attention with a
-relative position bias, and dropout, used at every dropout site.
+relative position bias, and dropout, used at every dropout site. Between its
+projections the kernel is one autodiff node, _attend, chaining the NumPy
+(output, pullback) helpers that the one-node Tensor functions wrap.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngStream
-from .tensor import (ShapeError, Tensor, embedding, matmul, mul, reshape,
-                     sigmoid, softmax_rows, sub, transpose)
+from .tensor import (ShapeError, Tensor, _const, _node, _sigmoid, _softmax,
+                     _unary, _unbroadcast, embedding, matmul, mul, reshape,
+                     transpose)
 
 # Additive sentinel for masked logits. Large but finite: exp(sentinel - max)
 # underflows to exactly 0, so masked positions get zero weight and zero
@@ -32,7 +35,6 @@ _MODES = (MODE_OFF, MODE_TRAIN_ONLY, MODE_MATCHED)
 
 WEIGHT_SOFTMAX = "softmax"
 WEIGHT_SMOOTHED_FOCUS = "smoothed_focus"
-_WEIGHT_FNS = (WEIGHT_SOFTMAX, WEIGHT_SMOOTHED_FOCUS)
 
 
 class Phase(enum.Enum):
@@ -65,10 +67,6 @@ class RelaxationConfig:
         if self.fuzzy and self.sigma2 <= 0.0:
             raise ValueError("fuzzy relaxation requires sigma2 > 0")
 
-    @property
-    def active(self) -> bool:
-        return self.mode != MODE_OFF
-
 
 def sample_fuzzy_gamma(cfg: RelaxationConfig | None, rng: RngStream | None,
                        phase: Phase) -> float:
@@ -91,6 +89,11 @@ def sample_fuzzy_gamma(cfg: RelaxationConfig | None, rng: RngStream | None,
     return cfg.gamma0
 
 
+def _relax(g: np.ndarray, gamma: float):
+    """g + gamma * (1/L - g) over the last axis, and its pullback."""
+    return g + (1.0 / g.shape[-1] - g) * gamma, lambda gg: gg - gg * gamma
+
+
 def relax_weights(g: Tensor, gamma: float) -> Tensor:
     """Blend row-stochastic weights with the uniform distribution.
 
@@ -104,7 +107,17 @@ def relax_weights(g: Tensor, gamma: float) -> Tensor:
         raise ValueError(f"relaxation coefficient must be in [0, 1], got {gamma}")
     if gamma == 0.0:
         return g
-    return g + mul(sub(1.0 / g.shape[-1], g), gamma)
+    return _unary(g, *_relax(g.data, gamma))
+
+
+def _smoothed_focus(e: np.ndarray):
+    """Row-normalized sigmoid of the logits, and its pullback."""
+    s, sigmoid_vjp = _sigmoid(e)
+    denom = s.sum(axis=-1, keepdims=True)
+    if np.any(denom <= 0.0):
+        raise ValueError("smoothed focus undefined: a row has zero total activation")
+    return s / denom, lambda g: sigmoid_vjp(
+        g / denom + (-g * s / (denom * denom)).sum(axis=-1, keepdims=True))
 
 
 def smoothed_focus_weights(e: Tensor) -> Tensor:
@@ -114,11 +127,19 @@ def smoothed_focus_weights(e: Tensor) -> Tensor:
     one. Unlike softmax this is not shift-invariant. Masked entries at
     MASK_SENTINEL get exactly zero weight; a fully masked row is an error.
     """
-    s = sigmoid(e)
-    denom = s.sum(axis=-1, keepdims=True)
-    if np.any(denom.data <= 0.0):
-        raise ValueError("smoothed focus undefined: a row has zero total activation")
-    return s / denom
+    return _unary(e, *_smoothed_focus(e.data))
+
+
+def _dropout_mask(shape, p: float, rng: RngStream | None,
+                  phase: Phase) -> np.ndarray | None:
+    """Inverted-dropout multiplier, or None in eval and at p == 0."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if phase == Phase.EVAL or p == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("dropout needs an RngStream in training")
+    return rng.bernoulli_mask(shape, 1.0 - p) / (1.0 - p)
 
 
 def dropout(g: Tensor, p: float, rng: RngStream | None, phase: Phase) -> Tensor:
@@ -129,14 +150,8 @@ def dropout(g: Tensor, p: float, rng: RngStream | None, phase: Phase) -> Tensor:
     probability simplex afterwards -- expected, the weights are no longer
     probabilities. p == 0 draws no randomness.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if phase == Phase.EVAL or p == 0.0:
-        return g
-    if rng is None:
-        raise ValueError("dropout needs an RngStream in training")
-    mask = rng.bernoulli_mask(g.shape, 1.0 - p) / (1.0 - p)
-    return mul(g, mask)
+    mask = _dropout_mask(g.shape, p, rng, phase)
+    return g if mask is None else mul(g, mask)
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -181,25 +196,17 @@ class MhaParams:
         return {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "w_o": self.w_o}
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """[..., L, d] -> [..., n_heads, L, d/n_heads]."""
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """[..., L, d] -> contiguous [..., n_heads, L, d/n_heads]."""
     *lead, length, d = x.shape
-    r = reshape(x, (*lead, length, n_heads, d // n_heads))
-    n = len(lead)
-    return transpose(r, (*range(n), n + 1, n, n + 2))
+    split = x.reshape(*lead, length, n_heads, d // n_heads)
+    return np.ascontiguousarray(np.swapaxes(split, -2, -3))
 
 
-def _merge_heads(x: Tensor) -> Tensor:
+def _merge_heads(x: np.ndarray) -> np.ndarray:
     """[..., n_heads, L, dh] -> [..., L, n_heads * dh]."""
     *lead, n_heads, length, dh = x.shape
-    n = len(lead)
-    t = transpose(x, (*range(n), n + 1, n, n + 2))
-    return reshape(t, (*lead, length, n_heads * dh))
-
-
-def _project_kv(kv: Tensor, params: MhaParams) -> tuple[Tensor, Tensor]:
-    return (_split_heads(matmul(kv, params.w_k), params.n_heads),
-            _split_heads(matmul(kv, params.w_v), params.n_heads))
+    return np.swapaxes(x, -2, -3).reshape(*lead, length, n_heads * dh)
 
 
 class KvCache:
@@ -220,27 +227,65 @@ class KvCache:
         self.k: np.ndarray | None = None
         self.v: np.ndarray | None = None
 
-    def keys_values(self, kv: Tensor, params: MhaParams) -> tuple[Tensor, Tensor]:
+    def keys_values(self, kv: Tensor,
+                    params: MhaParams) -> tuple[np.ndarray, np.ndarray]:
         if self.k is None or not self.static:
-            kh, vh = _project_kv(kv, params)
-            if self.k is None:
-                self.k, self.v = kh.data, vh.data
-            else:
-                self.k = np.concatenate([self.k, kh.data], axis=-2)
-                self.v = np.concatenate([self.v, vh.data], axis=-2)
-        return Tensor(self.k), Tensor(self.v)
+            kh, vh = (_split_heads(kv.data @ w.data, params.n_heads)
+                      for w in (params.w_k, params.w_v))
+            if self.k is not None:
+                kh = np.concatenate([self.k, kh], axis=-2)
+                vh = np.concatenate([self.v, vh], axis=-2)
+            self.k, self.v = kh, vh
+        return self.k, self.v
 
     def reorder(self, rows: np.ndarray) -> None:
         if self.k is not None:
             self.k, self.v = self.k[rows], self.v[rows]
 
 
-def _attention_weights(e: Tensor, weight_fn: str) -> Tensor:
-    if weight_fn == WEIGHT_SOFTMAX:
-        return softmax_rows(e)
-    if weight_fn == WEIGHT_SMOOTHED_FOCUS:
-        return smoothed_focus_weights(e)
-    raise ValueError(f"weight_fn must be one of {_WEIGHT_FNS}, got {weight_fn!r}")
+_WEIGHTS = {WEIGHT_SOFTMAX: _softmax, WEIGHT_SMOOTHED_FOCUS: _smoothed_focus}
+
+
+def _attend(q: Tensor, k, v, n_heads: int, bias, scale: float, weights,
+            gamma: float, dropout_p: float, rng: RngStream | None,
+            phase: Phase) -> Tensor:
+    """One node from the [.., L, d] projections to the merged head outputs:
+    head split, logits * scale + bias, weights, relaxation (none at gamma 0),
+    dropout, @ values. k/v may be KvCache head arrays (no gradient)."""
+    projections = isinstance(k, Tensor)
+    qh, kh, vh = (_split_heads(t.data, n_heads) if isinstance(t, Tensor) else t
+                  for t in (q, k, v))
+    kt = np.swapaxes(kh, -1, -2)
+    logits = (qh @ kt) * scale
+    if bias is not None:
+        logits = logits + _const(bias)
+    a, weights_vjp = weights(logits)
+    if gamma != 0.0:
+        a, relax_vjp = _relax(a, gamma)
+    keep = _dropout_mask(a.shape, dropout_p, rng, phase)
+    if keep is not None:
+        a = a * keep
+    parents = tuple(t for t in (q, k, v, bias) if isinstance(t, Tensor))
+
+    def vjp(g):
+        go = _split_heads(g, n_heads)
+        ga = _unbroadcast(go @ np.swapaxes(vh, -1, -2), a.shape)
+        if keep is not None:
+            ga = ga * keep
+        if gamma != 0.0:
+            ga = relax_vjp(ga)
+        gl = weights_vjp(ga)
+        gs = gl * scale
+        grads = [_merge_heads(_unbroadcast(gs @ kh, qh.shape))]
+        if projections:
+            gk = _unbroadcast(np.swapaxes(qh, -1, -2) @ gs, kt.shape)
+            gv = _unbroadcast(np.swapaxes(a, -1, -2) @ go, vh.shape)
+            grads += [_merge_heads(np.swapaxes(gk, -1, -2)), _merge_heads(gv)]
+        if isinstance(bias, Tensor):
+            grads.append(_unbroadcast(gl, bias.shape))
+        return grads
+
+    return _node(_merge_heads(a @ vh), parents, vjp)
 
 
 def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
@@ -266,26 +311,21 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
     stream rng. gamma_out collects an active site's coefficient; with a
     cache, keys and values come from, and go into, a decoding KvCache.
     """
-    d, nh = params.d_model, params.n_heads
+    d = params.d_model
     if q.shape[-1] != d or kv.shape[-1] != d:
         raise ShapeError(f"q/kv feature dims {q.shape[-1]}/{kv.shape[-1]} "
                          f"must equal model dim {d}")
-    qh = _split_heads(matmul(q, params.w_q), nh)
-    if cache is None:
-        kh, vh = _project_kv(kv, params)
-    else:
-        kh, vh = cache.keys_values(kv, params)
-    kt = transpose(kh, (*range(kh.ndim - 2), kh.ndim - 1, kh.ndim - 2))
-    e = mul(matmul(qh, kt), scale if scale is not None else 1.0 / math.sqrt(d))
-    if bias is not None:
-        e = e + bias
-    weights = _attention_weights(e, weight_fn)
+    if weight_fn not in _WEIGHTS:
+        raise ValueError(f"weight_fn must be one of {tuple(_WEIGHTS)}, "
+                         f"got {weight_fn!r}")
+    k, v = (cache.keys_values(kv, params) if cache is not None
+            else (matmul(kv, params.w_k), matmul(kv, params.w_v)))
     gamma = sample_fuzzy_gamma(relax, gamma_rng, phase)
-    weights = relax_weights(weights, gamma)
-    if gamma_out is not None and relax is not None and relax.active:
+    if gamma_out is not None and relax is not None and relax.mode != MODE_OFF:
         gamma_out.append(gamma)
-    dropped = dropout(weights, dropout_p, rng, phase)
-    out = _merge_heads(matmul(dropped, vh))
+    out = _attend(matmul(q, params.w_q), k, v, params.n_heads, bias,
+                  scale if scale is not None else 1.0 / math.sqrt(d),
+                  _WEIGHTS[weight_fn], gamma, dropout_p, rng, phase)
     return matmul(out, params.w_o)
 
 

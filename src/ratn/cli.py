@@ -120,16 +120,10 @@ def cmd_eval(args) -> int:
     data = build_task_data(spec.task, spec.task_params)
     corpus = _split_corpus(data, args.split)
     refs = [list(map(int, t)) for t in corpus.targets]
-    hyps = []
     with open(args.hyps) as f:
-        for line in f:
-            hyps.append(json.loads(line)["tokens"])
-    if args.metric == "wer":
-        value = wer(refs, hyps)
-    elif args.metric == "bleu":
-        value = corpus_bleu(refs, hyps)
-    else:
-        raise SystemExit(f"unknown metric {args.metric!r}")
+        hyps = [json.loads(line)["tokens"] for line in f]
+    # argparse admits only the two metric names
+    value = (wer if args.metric == "wer" else corpus_bleu)(refs, hyps)
     report = {"metric": args.metric, "value": value, "n_utterances": len(hyps),
               "config_hash": _config_hash(spec)}
     print(json.dumps(report, sort_keys=True))

@@ -10,18 +10,21 @@ the output for provenance.
 
 run_experiment and gamma_sweep both run their cells through _run_cells: task
 data built once (tasks.build_task_data), one _cell_job per cell (in process
-at workers=1, on a process pool above), a cell_failed row for a cell that
-raises. Splits are decoded by decoding.decode_corpus, without taping. Output
-files are replaced atomically (checkpoint.write_atomic).
+at workers=1, above that on a pool of fresh interpreters that each load BLAS
+with one thread, so N workers keep to N CPUs), a cell_failed row for a cell
+that raises. Splits are decoded by decoding.decode_corpus, without taping.
+Output files are replaced atomically (checkpoint.write_atomic).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,8 @@ from .window_classifier import (WindowClassifier, WindowClassifierConfig,
                                 train_classifier)
 
 LM_NONE = "none"
+# read by BLAS when it loads, so they are set before a worker starts
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 DEFAULT_GAMMA_GRID = {
     "self": (0.0, 0.0001, 0.001, 0.01, 0.05, 0.1),
@@ -306,8 +311,14 @@ def _run_cells(spec: ExperimentSpec, cells: list[tuple[RelaxSetting, int]],
             [c[1] for c in cells])
     if workers <= 1:
         return list(map(_cell_job, *jobs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_cell_job, *jobs))
+    saved = dict(os.environ)
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            return list(pool.map(_cell_job, *jobs))
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)
 
 
 def _row_sort_key(row: dict):

@@ -68,9 +68,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # Operator sugar; the functions below do the work.
     def __add__(self, other):
         return add(self, other)
@@ -106,6 +103,14 @@ class Tensor:
         return tmean(self, axis=axis, keepdims=keepdims)
 
 
+class Module:
+    """Base of the models, which name every learned tensor in parameters()."""
+
+    def zero_grad(self) -> None:
+        for t in self.parameters().values():
+            t.grad = None
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     requires = _grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires)
@@ -113,6 +118,11 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
         out._parents = parents
         out._vjp = vjp
     return out
+
+
+def _unary(a: Tensor, out: np.ndarray, pullback) -> Tensor:
+    """One node from a NumPy helper's (output, pullback), e.g. _softmax."""
+    return _node(out, (a,), lambda g: (pullback(g),))
 
 
 def _const(x) -> np.ndarray:
@@ -180,7 +190,8 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast."""
+    """Matrix product over the last two axes; leading axes broadcast. For
+    x @ W (W a matrix) each gradient is one GEMM over the rows of x."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {ad.shape} @ {bd.shape}")
@@ -189,6 +200,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = ad @ bd
 
     def vjp(g):
+        if bd.ndim == 2 and ad.ndim > 2:
+            g2 = g.reshape(-1, g.shape[-1])
+            return ((g2 @ bd.T).reshape(ad.shape),
+                    ad.reshape(-1, ad.shape[-1]).T @ g2)
         ga = _unbroadcast(g @ bd.swapaxes(-1, -2), a.shape)
         gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape)
         return ga, gb
@@ -236,25 +251,16 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     shape = a.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy() if np.ndim(g) == 0
-                    else np.full(shape, g.reshape(())),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _node(out, (a,), vjp)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.shape[ax] for ax in axis]))
-    else:
-        n = a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    s = tsum(a, axis=axis, keepdims=keepdims)
+    return mul(s, s.size / a.size)
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +272,17 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
+def _sigmoid(x: np.ndarray):
+    """1/(1+exp(-x)) without overflow or a branch, and its pullback."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    s = np.where(x >= 0, 1.0 / d, e / d)
+    return s, lambda g: g * s * (1.0 - s)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     """Elementwise 1/(1+exp(-x)), computed without overflow."""
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
+    return _unary(a, *_sigmoid(a.data))
 
 
 def log(a: Tensor) -> Tensor:
@@ -287,18 +295,16 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     return _node(np.maximum(a.data, floor), (a,), lambda g: (g * mask,))
 
 
+def _softmax(x: np.ndarray):
+    """Max-shifted softmax over the last axis, and its pullback."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+    return out, lambda g: out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-stochastic softmax over the last axis, stabilized by max shift."""
-    x = a.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _node(out, (a,), vjp)
+    return _unary(a, *_softmax(a.data))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -307,17 +313,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gain.shape}/{bias.shape} "
                          f"do not match feature dim {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def vjp(g):
         dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxhat.sum(axis=-1, keepdims=True) / d
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
         dx = inv * (dxhat - m1 - xhat * m2)
         lead = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=lead)

@@ -1,12 +1,12 @@
-"""Label-smoothed cross-entropy, Adam, and the one phase-gated train loop,
-fit(); train() and window_classifier.train_classifier() wrap it. train()'s
-dev evaluation, sequence_accuracy, decodes through decoding.decode_corpus."""
+"""Label-smoothed cross-entropy, a flat-vector Adam, and the one phase-gated
+train loop, fit(); train() and window_classifier.train_classifier() wrap it.
+train()'s dev evaluation, sequence_accuracy, decodes through decode_corpus."""
 
 from __future__ import annotations
 
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,35 +73,45 @@ def label_smoothed_nll(p: Tensor, targets, alpha: float) -> Tensor:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment estimates plus a step counter."""
+    """Adam's moments, one flat vector each over the parameters in dict
+    order, and the step counter."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def init(cls, params: dict[str, Tensor]) -> "AdamState":
-        return cls(m={k: np.zeros_like(t.data) for k, t in params.items()},
-                   v={k: np.zeros_like(t.data) for k, t in params.items()})
+        n = sum(t.size for t in params.values())
+        return cls(m=np.zeros(n), v=np.zeros(n))
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place on the parameter data."""
-    state.step += 1
-    t = state.step
+    """One bias-corrected Adam update over all parameters as one vector (a
+    missing gradient counts as zero); each .data becomes a slice of it."""
+    flat = []
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
+            g = np.zeros(p.size)
+        elif g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} does not match "
                              f"parameter {name} of shape {p.data.shape}")
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * (g * g)
-        m_hat = state.m[name] / (1.0 - cfg.beta1 ** t)
-        v_hat = state.v[name] / (1.0 - cfg.beta2 ** t)
-        p.data = p.data - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        flat.append(g.reshape(-1))
+    g = np.concatenate(flat)
+    state.step += 1
+    t = state.step
+    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (g * g)
+    m_hat = state.m / (1.0 - cfg.beta1 ** t)
+    v_hat = state.v / (1.0 - cfg.beta2 ** t)
+    data = np.concatenate([p.data.reshape(-1) for p in params.values()])
+    data = data - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    start = 0
+    for p in params.values():
+        p.data = data[start:start + p.size].reshape(p.shape)
+        start += p.size
 
 
 def teacher_forcing_pair(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

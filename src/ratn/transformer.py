@@ -23,7 +23,7 @@ from .attention import (KvCache, MhaParams, Phase, RelaxationConfig,
                         WEIGHT_SOFTMAX, causal_mask, dropout,
                         multi_head_attention)
 from .rng import RngStream
-from .tensor import (Tensor, embedding, layer_norm, matmul, mul, relu,
+from .tensor import (Module, Tensor, embedding, layer_norm, matmul, mul, relu,
                      softmax_rows)
 
 PAD_ID = 0
@@ -153,7 +153,7 @@ class DecoderState:
             cross_cache.reorder(rows)
 
 
-class Seq2SeqModel:
+class Seq2SeqModel(Module):
     """Encoder-decoder transformer over a shared token vocabulary.
 
     All learned state lives in .parameters(); dropout and fuzzy-gamma draws
@@ -203,10 +203,6 @@ class Seq2SeqModel:
         out["out_w"] = self.out_w
         out["out_b"] = self.out_b
         return out
-
-    def zero_grad(self) -> None:
-        for t in self.parameters().values():
-            t.grad = None
 
     # -- forward pieces ----------------------------------------------------
 

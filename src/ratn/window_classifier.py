@@ -15,7 +15,7 @@ import numpy as np
 
 from .attention import (Phase, RelaxationConfig, WindowAttnParams, windowed_mha)
 from .rng import RngStream
-from .tensor import Tensor, matmul, no_grad, softmax_rows
+from .tensor import Module, Tensor, matmul, no_grad, softmax_rows
 from .training import TrainConfig, fit, label_smoothed_nll
 from .transformer import LayerNormParams
 
@@ -38,7 +38,7 @@ class WindowClassifierConfig:
             raise ValueError("channels must be divisible by n_heads")
 
 
-class WindowClassifier:
+class WindowClassifier(Module):
     def __init__(self, config: WindowClassifierConfig, seed: int = 0):
         self.config = config
         init = RngStream(seed, "init")
@@ -59,10 +59,6 @@ class WindowClassifier:
         out["head_w"] = self.head_w
         out["head_b"] = self.head_b
         return out
-
-    def zero_grad(self) -> None:
-        for t in self.parameters().values():
-            t.grad = None
 
     def forward(self, x, phase: Phase = Phase.EVAL) -> Tensor:
         """Class probabilities for grids x of shape [.., h, w, c]."""

@@ -320,6 +320,80 @@ def test_mha_gradient_with_relaxation():
     assert rel_err(q.grad, finite_diff_grad(f, q)) < 1e-5
 
 
+def _fd_grad(loss, leaf):
+    """Central differences of loss() in the entries of leaf, swapped in."""
+    def f(value):
+        saved = leaf.data
+        leaf.data = value.data
+        try:
+            return loss()
+        finally:
+            leaf.data = saved
+
+    return finite_diff_grad(f, Tensor(leaf.data.copy()))
+
+
+@pytest.mark.parametrize("phase", [Phase.EVAL, Phase.TRAIN])
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+@pytest.mark.parametrize("weight_fn", ["softmax", "smoothed_focus"])
+def test_attention_gradients_match_finite_differences(weight_fn, gamma, phase):
+    # Every input of the attention node: a cross call (q, kv), a causal
+    # self-attention call with q aliased to kv, and the four projections.
+    # In TRAIN, attention dropout 0.1 draws from a stream re-created for
+    # every evaluation, so each one applies the same mask.
+    d, rng = 8, RngStream(50, "t")
+    params = MhaParams.init(d, 2, RngStream(51, "init"))
+    q = Tensor(rng.normal((2, 3, d)), requires_grad=True)
+    kv = Tensor(rng.normal((2, 4, d)), requires_grad=True)
+    x = Tensor(rng.normal((2, 4, d)), requires_grad=True)
+    probe_q, probe_x = rng.normal((2, 3, d)), rng.normal((2, 4, d))
+    relax = RelaxationConfig(gamma0=gamma, mode="matched")
+    p = 0.1 if phase == Phase.TRAIN else 0.0
+
+    def attend(a, b, seed, bias=None):
+        return multi_head_attention(a, b, params, relax, weight_fn, p,
+                                    RngStream(seed, "dropout"), phase, bias=bias)
+
+    def loss():
+        return ((attend(q, kv, 52) * probe_q).sum()
+                + (attend(x, x, 53, causal_mask(4)) * probe_x).sum())
+
+    if phase == Phase.TRAIN:  # the mask drops something
+        assert not np.array_equal(attend(q, kv, 52).data,
+                                  multi_head_attention(q, kv, params, relax,
+                                                       weight_fn).data)
+    leaves = [q, kv, x, *params.tensors().values()]
+    for leaf in leaves:
+        leaf.grad = None
+    backward(loss())
+    for name, leaf in zip(["q", "kv", "x", *params.tensors()], leaves):
+        assert rel_err(leaf.grad, _fd_grad(loss, leaf)) < 1e-7, name
+
+
+@pytest.mark.parametrize("phase", [Phase.EVAL, Phase.TRAIN])
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_windowed_attention_gradients_match_finite_differences(gamma, phase):
+    # The position bias table enters the attention node as a Tensor bias;
+    # 8 channels make the logit scale 1/sqrt(2), not 1.
+    params = WindowAttnParams.init(8, 2, 2, RngStream(54, "init"))
+    rng = RngStream(55, "t")
+    x = Tensor(rng.normal((2, 4, 4, 8)), requires_grad=True)
+    probe = rng.normal((2, 4, 4, 8))
+    relax = RelaxationConfig(gamma0=gamma, mode="matched")
+    p = 0.1 if phase == Phase.TRAIN else 0.0
+
+    def loss():
+        return (windowed_mha(x, params, relax, p, RngStream(56, "dropout"),
+                             phase) * probe).sum()
+
+    leaves = [x, *params.tensors().values()]
+    for leaf in leaves:
+        leaf.grad = None
+    backward(loss())
+    for name, leaf in zip(["x", *params.tensors()], leaves):
+        assert rel_err(leaf.grad, _fd_grad(loss, leaf)) < 1e-7, name
+
+
 def test_mha_shape_validation():
     params = MhaParams.init(4, 2, RngStream(23, "init"))
     with pytest.raises(ShapeError):

@@ -1,6 +1,7 @@
 """Tensor core: op semantics, gradients against finite differences, RNG."""
 
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -90,6 +91,44 @@ def test_sigmoid_values_and_symmetry():
     x = rng.normal((100,), 0.0, 5.0)
     s = sigmoid(Tensor(x)).data + sigmoid(Tensor(-x)).data
     assert np.abs(s - 1.0).max() < 1e-12
+
+
+def _branching_sigmoid(x):
+    """The two-branch form: exp(-x) for x >= 0, exp(x) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_the_branching_form_at_extremes():
+    x = np.array([0.0, -0.0, 1e-300, -1e-300, 0.5, -2.25, 36.7, -36.7, 709.0,
+                  -709.0, 745.0, -745.0, 746.0, -746.0, 1e30, -1e30,
+                  np.inf, -np.inf])
+    x = np.concatenate([x, RngStream(8, "test").normal((200,), 0.0, 30.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sigmoid(Tensor(x)).data
+    assert np.array_equal(out, _branching_sigmoid(x))
+    assert np.array_equal(sigmoid(Tensor([1e30, -1e30])).data, [1.0, 0.0])
+    assert np.isnan(sigmoid(Tensor([np.nan])).data[0])
+
+
+def test_matmul_with_leading_axes_gradients():
+    # x @ W with x [2, 3, 4]: both gradients against central differences and
+    # against the per-leading-index products summed over the batch.
+    rng = RngStream(11, "test")
+    x = Tensor(rng.normal((2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal((4, 5)), requires_grad=True)
+    probe = rng.normal((2, 3, 5))
+    backward((matmul(x, w) * probe).sum())
+    assert rel_err(x.grad, probe @ w.data.T) < 1e-12
+    assert rel_err(w.grad, (x.data.swapaxes(-1, -2) @ probe).sum(axis=0)) < 1e-12
+    fd_x = finite_diff_grad(lambda t: (matmul(t, w) * probe).sum(), x)
+    fd_w = finite_diff_grad(lambda t: (matmul(x, t) * probe).sum(), w)
+    assert rel_err(x.grad, fd_x) < 1e-8 and rel_err(w.grad, fd_w) < 1e-8
 
 
 def test_layer_norm_constant_vector_collapses_to_bias():
