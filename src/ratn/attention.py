@@ -5,9 +5,10 @@ relaxed attention (a convex blend of the row-stochastic weights with the
 uniform distribution over key positions), its fuzzy variant (the relaxation
 coefficient drawn from a normal distribution during training), smoothed focus
 (sigmoid-normalized weights instead of softmax), windowed attention with a
-relative position bias, and dropout, used at every dropout site. Between its
-projections the kernel is one autodiff node, _attend, chaining the NumPy
-(output, pullback) helpers that the one-node Tensor functions wrap.
+relative position bias, and dropout, used at every dropout site. The kernel
+is one autodiff node from its inputs through the Q/K/V projections, the
+weights and the output projection, chaining the NumPy (output, pullback)
+helpers that the one-node Tensor functions wrap.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngStream
-from .tensor import (ShapeError, Tensor, _const, _node, _sigmoid, _softmax,
-                     _unary, _unbroadcast, embedding, matmul, mul, reshape,
+from .tensor import (ShapeError, Tensor, _const, _linear_vjp, _node, _sigmoid,
+                     _softmax, _unary, _unbroadcast, embedding, mul, reshape,
                      transpose)
 
 # Additive sentinel for masked logits. Large but finite: exp(sentinel - max)
@@ -132,14 +133,15 @@ def smoothed_focus_weights(e: Tensor) -> Tensor:
 
 def _dropout_mask(shape, p: float, rng: RngStream | None,
                   phase: Phase) -> np.ndarray | None:
-    """Inverted-dropout multiplier, or None in eval and at p == 0."""
+    """Inverted-dropout multiplier, (u < 1-p) * (1/(1-p)) in one pass, or
+    None in eval and at p == 0."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if phase == Phase.EVAL or p == 0.0:
         return None
     if rng is None:
         raise ValueError("dropout needs an RngStream in training")
-    return rng.bernoulli_mask(shape, 1.0 - p) / (1.0 - p)
+    return rng.bernoulli_mask(shape, 1.0 - p) * (1.0 / (1.0 - p))
 
 
 def dropout(g: Tensor, p: float, rng: RngStream | None, phase: Phase) -> Tensor:
@@ -246,48 +248,6 @@ class KvCache:
 _WEIGHTS = {WEIGHT_SOFTMAX: _softmax, WEIGHT_SMOOTHED_FOCUS: _smoothed_focus}
 
 
-def _attend(q: Tensor, k, v, n_heads: int, bias, scale: float, weights,
-            gamma: float, dropout_p: float, rng: RngStream | None,
-            phase: Phase) -> Tensor:
-    """One node from the [.., L, d] projections to the merged head outputs:
-    head split, logits * scale + bias, weights, relaxation (none at gamma 0),
-    dropout, @ values. k/v may be KvCache head arrays (no gradient)."""
-    projections = isinstance(k, Tensor)
-    qh, kh, vh = (_split_heads(t.data, n_heads) if isinstance(t, Tensor) else t
-                  for t in (q, k, v))
-    kt = np.swapaxes(kh, -1, -2)
-    logits = (qh @ kt) * scale
-    if bias is not None:
-        logits = logits + _const(bias)
-    a, weights_vjp = weights(logits)
-    if gamma != 0.0:
-        a, relax_vjp = _relax(a, gamma)
-    keep = _dropout_mask(a.shape, dropout_p, rng, phase)
-    if keep is not None:
-        a = a * keep
-    parents = tuple(t for t in (q, k, v, bias) if isinstance(t, Tensor))
-
-    def vjp(g):
-        go = _split_heads(g, n_heads)
-        ga = _unbroadcast(go @ np.swapaxes(vh, -1, -2), a.shape)
-        if keep is not None:
-            ga = ga * keep
-        if gamma != 0.0:
-            ga = relax_vjp(ga)
-        gl = weights_vjp(ga)
-        gs = gl * scale
-        grads = [_merge_heads(_unbroadcast(gs @ kh, qh.shape))]
-        if projections:
-            gk = _unbroadcast(np.swapaxes(qh, -1, -2) @ gs, kt.shape)
-            gv = _unbroadcast(np.swapaxes(a, -1, -2) @ go, vh.shape)
-            grads += [_merge_heads(np.swapaxes(gk, -1, -2)), _merge_heads(gv)]
-        if isinstance(bias, Tensor):
-            grads.append(_unbroadcast(gl, bias.shape))
-        return grads
-
-    return _node(_merge_heads(a @ vh), parents, vjp)
-
-
 def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
                          relax: RelaxationConfig | None = None,
                          weight_fn: str = WEIGHT_SOFTMAX,
@@ -309,24 +269,65 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
     relaxation coefficient per call, shared by every head and batch element;
     fuzzy draws come from gamma_rng only, so they never perturb the dropout
     stream rng. gamma_out collects an active site's coefficient; with a
-    cache, keys and values come from, and go into, a decoding KvCache.
+    cache, keys and values come from, and go into, a decoding KvCache. The
+    sublayer is one node: q, kv, the projections and a Tensor bias are its
+    parents (with a cache, kv, W_k and W_v are not).
     """
-    d = params.d_model
+    d, n_heads = params.d_model, params.n_heads
     if q.shape[-1] != d or kv.shape[-1] != d:
         raise ShapeError(f"q/kv feature dims {q.shape[-1]}/{kv.shape[-1]} "
                          f"must equal model dim {d}")
     if weight_fn not in _WEIGHTS:
         raise ValueError(f"weight_fn must be one of {tuple(_WEIGHTS)}, "
                          f"got {weight_fn!r}")
-    k, v = (cache.keys_values(kv, params) if cache is not None
-            else (matmul(kv, params.w_k), matmul(kv, params.w_v)))
+    w_q, w_k, w_v, w_o = (w.data for w in params.tensors().values())
+    kh, vh = (cache or KvCache()).keys_values(kv, params)  # no cache: fresh
     gamma = sample_fuzzy_gamma(relax, gamma_rng, phase)
     if gamma_out is not None and relax is not None and relax.mode != MODE_OFF:
         gamma_out.append(gamma)
-    out = _attend(matmul(q, params.w_q), k, v, params.n_heads, bias,
-                  scale if scale is not None else 1.0 / math.sqrt(d),
-                  _WEIGHTS[weight_fn], gamma, dropout_p, rng, phase)
-    return matmul(out, params.w_o)
+    scale = 1.0 / math.sqrt(d) if scale is None else scale
+    qh = _split_heads(q.data @ w_q, n_heads)
+    logits = (qh @ np.ascontiguousarray(np.swapaxes(kh, -1, -2))) * scale
+    if bias is not None:
+        logits = logits + _const(bias)
+    a, weights_vjp = _WEIGHTS[weight_fn](logits)
+    if gamma != 0.0:
+        a, relax_vjp = _relax(a, gamma)
+    keep = _dropout_mask(a.shape, dropout_p, rng, phase)
+    if keep is not None:
+        a = a * keep
+    heads = _merge_heads(a @ vh)
+    parents = ((q, kv, *params.tensors().values()) if cache is None
+               else (q, params.w_q, params.w_o))
+    if isinstance(bias, Tensor):
+        parents += (bias,)
+
+    def vjp(g):
+        g_heads, g_wo = _linear_vjp(heads, w_o, g)
+        go = _split_heads(g_heads, n_heads)
+        vt = np.ascontiguousarray(np.swapaxes(vh, -1, -2))
+        ga = _unbroadcast(go @ vt, a.shape)
+        if keep is not None:
+            ga = ga * keep
+        if gamma != 0.0:
+            ga = relax_vjp(ga)
+        gl = weights_vjp(ga)
+        gs = gl * scale
+        gq, g_wq = _linear_vjp(q.data, w_q,
+                               _merge_heads(_unbroadcast(gs @ kh, qh.shape)))
+        if cache is None:
+            gk = _unbroadcast(np.swapaxes(gs, -1, -2) @ qh, kh.shape)
+            gv = _unbroadcast(np.swapaxes(a, -1, -2) @ go, vh.shape)
+            gkv_k, g_wk = _linear_vjp(kv.data, w_k, _merge_heads(gk))
+            gkv_v, g_wv = _linear_vjp(kv.data, w_v, _merge_heads(gv))
+            grads = [gq, gkv_k + gkv_v, g_wq, g_wk, g_wv, g_wo]
+        else:
+            grads = [gq, g_wq, g_wo]
+        if isinstance(bias, Tensor):
+            grads.append(_unbroadcast(gl, bias.shape))
+        return grads
+
+    return _node(heads @ w_o, parents, vjp)
 
 
 # ---------------------------------------------------------------------------

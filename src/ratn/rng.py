@@ -48,8 +48,9 @@ class RngStream:
         return self._gen.integers(low, high, size=shape)
 
     def bernoulli_mask(self, shape, keep_prob: float) -> np.ndarray:
-        """Float mask with entries 1 (probability keep_prob) or 0."""
-        return (self._gen.random(size=shape) < keep_prob).astype(np.float64)
+        """Boolean mask, True with probability keep_prob; one uniform draw
+        per entry."""
+        return self._gen.random(size=shape) < keep_prob
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id!r})"

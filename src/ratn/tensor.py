@@ -1,11 +1,13 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-Covers exactly the operations the transformer needs. Each operation records
-its inputs and a vector-Jacobian closure on the output node; backward() walks
+Covers exactly the operations the models need. Each operation records its
+inputs and a vector-Jacobian closure on the output node; backward() walks
 the resulting DAG once per call and accumulates into .grad of the leaves
 (tensors with no recorded operation, e.g. parameters), so repeated backward
 calls without a reset add up. Interior nodes keep no .grad. The graph lives
 only as long as the output tensors referencing it.
+The fused sublayer nodes (attention, feed-forward, residual_norm) chain
+the NumPy kernels here, with the generic operations' bits and hand pullbacks.
 """
 
 from __future__ import annotations
@@ -189,6 +191,13 @@ def div(a, b) -> Tensor:
 # linear algebra
 
 
+def _linear_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray):
+    """Gradients (dx, dw) of x @ w for a matrix w, given g = dL/d(x @ w):
+    each one GEMM over the rows of x, whatever its leading axes."""
+    g2 = g.reshape(-1, g.shape[-1])
+    return (g2 @ w.T).reshape(x.shape), x.reshape(-1, x.shape[-1]).T @ g2
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast. For
     x @ W (W a matrix) each gradient is one GEMM over the rows of x."""
@@ -200,10 +209,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = ad @ bd
 
     def vjp(g):
-        if bd.ndim == 2 and ad.ndim > 2:
-            g2 = g.reshape(-1, g.shape[-1])
-            return ((g2 @ bd.T).reshape(ad.shape),
-                    ad.reshape(-1, ad.shape[-1]).T @ g2)
+        if bd.ndim == 2:
+            return _linear_vjp(ad, bd, g)
         ga = _unbroadcast(g @ bd.swapaxes(-1, -2), a.shape)
         gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape)
         return ga, gb
@@ -232,12 +239,14 @@ def embedding(table: Tensor, indices) -> Tensor:
     if np.any(idx < 0) or np.any(idx >= table.shape[0]):
         raise IndexError(f"embedding index out of range for table of {table.shape[0]} rows")
     out = table.data[idx]
-    shape = table.shape
+    rows, d = table.shape
 
     def vjp(g):
-        full = np.zeros(shape, dtype=np.float64)
-        np.add.at(full, idx, g)
-        return (full,)
+        # One bincount over (row, column) cells; it sums each cell's
+        # contributions in index order from 0.0, as np.add.at does.
+        cells = (idx.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+        full = np.bincount(cells, weights=g.reshape(-1), minlength=rows * d)
+        return (full.reshape(rows, d),)
 
     return _node(out, (table,), vjp)
 
@@ -267,22 +276,12 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # nonlinearities
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
-
-
 def _sigmoid(x: np.ndarray):
     """1/(1+exp(-x)) without overflow or a branch, and its pullback."""
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     s = np.where(x >= 0, 1.0 / d, e / d)
     return s, lambda g: g * s * (1.0 - s)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    """Elementwise 1/(1+exp(-x)), computed without overflow."""
-    return _unary(a, *_sigmoid(a.data))
 
 
 def log(a: Tensor) -> Tensor:
@@ -295,9 +294,22 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     return _node(np.maximum(a.data, floor), (a,), lambda g: (g * mask,))
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True); a zero maximum may differ in sign only,
+    which leaves x - max and its exp unchanged. NumPy reduces a short last
+    axis row by row; over many rows (attention logits) a column-wise
+    np.maximum is several times faster."""
+    if x.size < 512 * x.shape[-1]:
+        return x.max(axis=-1, keepdims=True)
+    m = x[..., 0]
+    for j in range(1, x.shape[-1]):
+        m = np.maximum(m, x[..., j])
+    return m[..., None]
+
+
 def _softmax(x: np.ndarray):
     """Max-shifted softmax over the last axis, and its pullback."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    e = np.exp(x - _row_max(x))
     out = e / e.sum(axis=-1, keepdims=True)
     return out, lambda g: out * (g - (g * out).sum(axis=-1, keepdims=True))
 
@@ -307,14 +319,20 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _unary(a, *_softmax(a.data))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def residual_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
+                  keep: np.ndarray | None = None, eps: float = 1e-6) -> Tensor:
+    """Post-norm residual sublayer as one node: the last axis of x + a * keep
+    normalized to zero mean and unit variance, then gain * . + bias. keep is
+    a dropout multiplier on the sublayer output a (None: no dropout)."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm affine shapes {gain.shape}/{bias.shape} "
+        raise ShapeError(f"layer norm affine shapes {gain.shape}/{bias.shape} "
                          f"do not match feature dim {d}")
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
+    if a.shape != x.shape:
+        raise ShapeError(f"residual shapes disagree: {x.shape} + {a.shape}")
+    s = x.data + (a.data if keep is None else a.data * keep)
+    mu = s.sum(axis=-1, keepdims=True) / d
+    xc = s - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
@@ -324,13 +342,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         dxhat = g * gain.data
         m1 = dxhat.sum(axis=-1, keepdims=True) / d
         m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
-        dx = inv * (dxhat - m1 - xhat * m2)
+        ds = inv * (dxhat - m1 - xhat * m2)
         lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        return dx, dgain, dbias
+        return (ds, ds if keep is None else ds * keep,
+                (g * xhat).sum(axis=lead), g.sum(axis=lead))
 
-    return _node(out, (x, gain, bias), vjp)
+    return _node(out, (x, a, gain, bias), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Toy-scale encoder-decoder transformer.
 
 Token embeddings scaled by sqrt(d) plus sinusoidal positions, post-norm
-blocks (add, then normalize), ReLU feed-forward, and three dropout sites,
-all through attention.dropout: residual (sub-layer outputs before the
-residual add, also on embeddings), activation (after ReLU), and attention
-(on the attention weights, after relaxation). Every attention site runs
-attention.multi_head_attention, the decoder's causal mask as its bias. Encoder
+blocks (add, then normalize), ReLU feed-forward, and three dropout sites on
+the one dropout stream: residual (sub-layer outputs before the residual add,
+also on embeddings), activation (after ReLU), and attention (on the weights,
+after relaxation). Each sublayer is one autodiff node: attention (the
+decoder's causal mask as its bias), FeedForward and LayerNormParams, whose
+call is "dropout, residual add, layer norm" over tensor.residual_norm. Encoder
 self-attention and decoder cross attention can be relaxed; decoder masked
 self-attention never is. Inference can also run the decoder one position at
 a time over a DecoderState of cached keys/values.
@@ -20,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import (KvCache, MhaParams, Phase, RelaxationConfig,
-                        WEIGHT_SOFTMAX, causal_mask, dropout,
+                        WEIGHT_SOFTMAX, _dropout_mask, causal_mask, dropout,
                         multi_head_attention)
 from .rng import RngStream
-from .tensor import (Module, Tensor, embedding, layer_norm, matmul, mul, relu,
-                     softmax_rows)
+from .tensor import (Module, Tensor, _linear_vjp, _node, _unbroadcast,
+                     embedding, matmul, mul, residual_norm, softmax_rows)
 
 PAD_ID = 0
 BOS_ID = 1
@@ -91,8 +92,11 @@ class LayerNormParams:
         return cls(gain=Tensor(np.ones(d), requires_grad=True),
                    bias=Tensor(np.zeros(d), requires_grad=True))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias)
+    def __call__(self, x: Tensor, a: Tensor, p: float = 0.0,
+                 rng: RngStream | None = None, phase=Phase.EVAL) -> Tensor:
+        """layer_norm(x + dropout(a)): the residual sublayer, one node."""
+        keep = _dropout_mask(a.shape, p, rng, phase)
+        return residual_norm(x, a, self.gain, self.bias, keep)
 
     def tensors(self) -> dict[str, Tensor]:
         return {"gain": self.gain, "bias": self.bias}
@@ -115,6 +119,28 @@ class FeedForward:
 
     def tensors(self) -> dict[str, Tensor]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+
+    def __call__(self, x: Tensor, p: float = 0.0, rng: RngStream | None = None,
+                 phase=Phase.EVAL) -> Tensor:
+        """relu(x @ w1 + b1), activation dropout, then @ w2 + b2: one node."""
+        w1, w2 = self.w1.data, self.w2.data
+        pre = x.data @ w1 + self.b1.data
+        live = pre > 0
+        h = np.fmax(pre, 0.0) + 0.0  # np.where(live, pre, 0.0), 5x faster
+        keep = _dropout_mask(h.shape, p, rng, phase)
+        if keep is not None:
+            h = h * keep
+            live = live * keep  # the pullback's mask times the multiplier
+
+        def vjp(g):
+            gh, gw2 = _linear_vjp(h, w2, g)
+            gpre = gh * live
+            gx, gw1 = _linear_vjp(x.data, w1, gpre)
+            return (gx, gw1, _unbroadcast(gpre, self.b1.shape), gw2,
+                    _unbroadcast(g, self.b2.shape))
+
+        return _node(h @ w2 + self.b2.data,
+                     (x, self.w1, self.b1, self.w2, self.b2), vjp)
 
 
 @dataclass
@@ -228,15 +254,10 @@ class Seq2SeqModel(Module):
                 weight_fn=cfg.weight_fn_self, dropout_p=cfg.dropout_attention,
                 rng=rng, phase=phase, gamma_rng=self._rng_gamma,
                 gamma_out=self.last_gammas["self"])
-            x = blk.ln1(x + dropout(a, p, rng, phase))
-            f = self._ffn(blk.ff, x, phase)
-            x = blk.ln2(x + dropout(f, p, rng, phase))
+            x = blk.ln1(x, a, p, rng, phase)
+            f = blk.ff(x, cfg.dropout_activation, rng, phase)
+            x = blk.ln2(x, f, p, rng, phase)
         return x
-
-    def _ffn(self, ff: FeedForward, x: Tensor, phase: Phase) -> Tensor:
-        h = relu(matmul(x, ff.w1) + ff.b1)
-        h = dropout(h, self.config.dropout_activation, self._rng_dropout, phase)
-        return matmul(h, ff.w2) + ff.b2
 
     def _decode_from_embeddings(self, h: Tensor, y: Tensor, phase: Phase,
                                 state: DecoderState | None = None) -> Tensor:
@@ -255,15 +276,15 @@ class Seq2SeqModel(Module):
             a = multi_head_attention(
                 x, x, blk.self_attn, bias=mask, dropout_p=cfg.dropout_attention,
                 rng=rng, phase=phase, cache=self_cache)
-            x = blk.ln1(x + dropout(a, p, rng, phase))
+            x = blk.ln1(x, a, p, rng, phase)
             c = multi_head_attention(
                 x, h, blk.cross_attn, relax=cfg.relax_cross,
                 weight_fn=cfg.weight_fn_cross, dropout_p=cfg.dropout_attention,
                 rng=rng, phase=phase, gamma_rng=self._rng_gamma,
                 gamma_out=self.last_gammas["cross"], cache=cross_cache)
-            x = blk.ln2(x + dropout(c, p, rng, phase))
-            f = self._ffn(blk.ff, x, phase)
-            x = blk.ln3(x + dropout(f, p, rng, phase))
+            x = blk.ln2(x, c, p, rng, phase)
+            f = blk.ff(x, cfg.dropout_activation, rng, phase)
+            x = blk.ln3(x, f, p, rng, phase)
         return softmax_rows(matmul(x, self.out_w) + self.out_b)
 
     def decode_probs(self, h: Tensor, y_tokens, phase: Phase = Phase.EVAL) -> Tensor:

@@ -70,7 +70,7 @@ class WindowClassifier(Module):
                          rng=self._rng_dropout, phase=phase,
                          gamma_rng=self._rng_gamma,
                          gamma_out=self.last_gammas["window"])
-        pooled = self.ln(t + a).mean(axis=(-3, -2))
+        pooled = self.ln(t, a).mean(axis=(-3, -2))
         return softmax_rows(matmul(pooled, self.head_w) + self.head_b)
 
     def accuracy(self, inputs: np.ndarray, labels: np.ndarray) -> float:

@@ -352,6 +352,7 @@ def _copy_convergence(relax_self: RelaxationConfig) -> tuple[bool, int]:
     return best >= 0.95, records[-1]["step"]
 
 
+@pytest.mark.slow
 def test_criterion_10_copy_task_convergence():
     start = time.time()
     ok_base, steps_base = _copy_convergence(RelaxationConfig())
@@ -474,6 +475,7 @@ def test_criterion_15_determinism_and_persistence(tmp_path):
 # 12. internal-LM suppression analog
 
 
+@pytest.mark.slow
 def test_criterion_12_ilm_suppression_analog(tmp_path):
     """Faithful implementation of the directional ILM criterion.
 

@@ -8,18 +8,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rel_err, random_stochastic_rows
-from ratn.attention import (MASK_SENTINEL, MhaParams, Phase, RelaxationConfig,
-                            WindowAttnParams, causal_mask, dropout,
-                            multi_head_attention,
+from helpers import (assert_matches_oracle, fd_grad, rel_err,
+                     random_stochastic_rows)
+from ratn.attention import (MASK_SENTINEL, KvCache, MhaParams, Phase,
+                            RelaxationConfig, WindowAttnParams, _dropout_mask,
+                            causal_mask, dropout, multi_head_attention,
                             position_bias, relative_position_index,
                             relax_weights, sample_fuzzy_gamma,
                             smoothed_focus_weights, window_merge,
                             window_partition, windowed_mha)
 from ratn.metrics import attention_entropy
 from ratn.rng import RngStream
-from ratn.tensor import (ShapeError, Tensor, backward, finite_diff_grad,
-                         softmax_rows)
+from ratn.tensor import (ShapeError, Tensor, add, backward, finite_diff_grad,
+                         matmul, mul, reshape, softmax_rows, transpose)
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +321,6 @@ def test_mha_gradient_with_relaxation():
     assert rel_err(q.grad, finite_diff_grad(f, q)) < 1e-5
 
 
-def _fd_grad(loss, leaf):
-    """Central differences of loss() in the entries of leaf, swapped in."""
-    def f(value):
-        saved = leaf.data
-        leaf.data = value.data
-        try:
-            return loss()
-        finally:
-            leaf.data = saved
-
-    return finite_diff_grad(f, Tensor(leaf.data.copy()))
-
-
 @pytest.mark.parametrize("phase", [Phase.EVAL, Phase.TRAIN])
 @pytest.mark.parametrize("gamma", [0.0, 0.3])
 @pytest.mark.parametrize("weight_fn", ["softmax", "smoothed_focus"])
@@ -367,7 +355,7 @@ def test_attention_gradients_match_finite_differences(weight_fn, gamma, phase):
         leaf.grad = None
     backward(loss())
     for name, leaf in zip(["q", "kv", "x", *params.tensors()], leaves):
-        assert rel_err(leaf.grad, _fd_grad(loss, leaf)) < 1e-7, name
+        assert rel_err(leaf.grad, fd_grad(loss, leaf)) < 1e-7, name
 
 
 @pytest.mark.parametrize("phase", [Phase.EVAL, Phase.TRAIN])
@@ -391,7 +379,107 @@ def test_windowed_attention_gradients_match_finite_differences(gamma, phase):
         leaf.grad = None
     backward(loss())
     for name, leaf in zip(["x", *params.tensors()], leaves):
-        assert rel_err(leaf.grad, _fd_grad(loss, leaf)) < 1e-7, name
+        assert rel_err(leaf.grad, fd_grad(loss, leaf)) < 1e-7, name
+
+
+def test_cached_attention_gradients_match_finite_differences():
+    # With a static KvCache the node's parents are q, W_q and W_o; keys and
+    # values come from the cache, filled by the first call.
+    d, rng = 8, RngStream(57, "t")
+    params = MhaParams.init(d, 2, RngStream(58, "init"))
+    q = Tensor(rng.normal((3, 1, d)), requires_grad=True)
+    h = Tensor(rng.normal((3, 5, d)))
+    probe = rng.normal((3, 1, d))
+    cache = KvCache(static=True)
+    relax = RelaxationConfig(gamma0=0.3, mode="matched")
+
+    def loss():
+        return (multi_head_attention(q, h, params, relax, cache=cache)
+                * probe).sum()
+
+    leaves = [q, params.w_q, params.w_o]
+    for leaf in leaves:
+        leaf.grad = None
+    backward(loss())
+    for name, leaf in zip(["q", "w_q", "w_o"], leaves):
+        assert rel_err(leaf.grad, fd_grad(loss, leaf)) < 1e-7, name
+    assert params.w_k.grad is None and params.w_v.grad is None
+
+
+def _generic_heads(t: Tensor, n_heads: int) -> Tensor:
+    """[..., L, d] -> [..., n_heads, L, d/n_heads] with generic ops."""
+    *lead, length, d = t.shape
+    n = len(lead)
+    r = reshape(t, (*lead, length, n_heads, d // n_heads))
+    return transpose(r, (*range(n), n + 1, n, n + 2))
+
+
+def _generic_attention(q, kv, params, weight_fn, gamma, keep, bias, scale):
+    """The attention sublayer written with generic ops, one node per op."""
+    qh, kh, vh = (_generic_heads(matmul(t, w), params.n_heads)
+                  for t, w in ((q, params.w_q), (kv, params.w_k),
+                               (kv, params.w_v)))
+    n = kh.ndim
+    logits = mul(matmul(qh, transpose(kh, (*range(n - 2), n - 1, n - 2))), scale)
+    if bias is not None:
+        logits = add(logits, bias)
+    weights = (softmax_rows if weight_fn == "softmax"
+               else smoothed_focus_weights)(logits)
+    weights = relax_weights(weights, gamma)
+    if keep is not None:
+        weights = mul(weights, keep)
+    out = matmul(weights, vh)
+    *lead, n_heads, length, dh = out.shape
+    m = len(lead)
+    merged = reshape(transpose(out, (*range(m), m + 1, m, m + 2)),
+                     (*lead, length, n_heads * dh))
+    return matmul(merged, params.w_o)
+
+
+_ORACLE_SITES = {
+    # name: (q shape, kv shape or None for self-attention, bias kind)
+    "cross": ((2, 3, 8), (2, 4, 8), None),
+    "causal_self": ((2, 4, 8), None, "causal"),
+    "broadcast_kv": ((2, 3, 8), (4, 8), None),
+    "windowed_5d": ((2, 3, 4, 8), None, "table"),
+}
+
+
+@pytest.mark.parametrize("phase", [Phase.EVAL, Phase.TRAIN])
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+@pytest.mark.parametrize("weight_fn", ["softmax", "smoothed_focus"])
+@pytest.mark.parametrize("site", sorted(_ORACLE_SITES))
+def test_attention_node_matches_generic_op_oracle(site, weight_fn, gamma, phase):
+    # Forward bit for bit; every gradient, the projections and W_o included,
+    # to 1e-12 (only the order of summed contributions may differ).
+    q_shape, kv_shape, bias_kind = _ORACLE_SITES[site]
+    rng = RngStream(60, site)
+    params = WindowAttnParams.init(8, 2, 2, RngStream(61, "init"))
+    mha = params.mha
+    q = Tensor(rng.normal(q_shape), requires_grad=True)
+    kv = q if kv_shape is None else Tensor(rng.normal(kv_shape),
+                                           requires_grad=True)
+    p = 0.2 if phase == Phase.TRAIN else 0.0
+    scale = 0.4
+    relax = RelaxationConfig(gamma0=gamma, mode="matched")
+
+    def bias():
+        if bias_kind == "causal":
+            return causal_mask(q_shape[-2])
+        return position_bias(params) if bias_kind == "table" else None
+
+    fused = multi_head_attention(q, kv, mha, relax, weight_fn, p,
+                                 RngStream(62, "dropout"), phase,
+                                 bias=bias(), scale=scale)
+    keep = _dropout_mask((*q_shape[:-2], 2, q_shape[-2],
+                          (kv_shape or q_shape)[-2]),
+                         p, RngStream(62, "dropout"), phase)
+    generic = _generic_attention(q, kv, mha, weight_fn, gamma, keep, bias(),
+                                 scale)
+    leaves = {"q": q, "kv": kv, **params.tensors()}
+    if bias_kind != "table":
+        del leaves["bias_table"]
+    assert_matches_oracle(fused, generic, leaves, rng.normal(fused.shape))
 
 
 def test_mha_shape_validation():

@@ -7,13 +7,14 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import rel_err, random_stochastic_rows
+from helpers import layer_norm, rel_err, relu, sigmoid
 from ratn.rng import RngStream
-from ratn.tensor import (ShapeError, Tensor, backward,
+from ratn.tensor import (ShapeError, Tensor, _row_max, _softmax, backward,
                          clamp_min, embedding, finite_diff_grad,
-                         layer_norm, log, matmul, no_grad, relu, reshape,
-                         sigmoid, softmax_rows, transpose, tsum)
-from ratn.attention import relax_weights
+                         log, matmul, no_grad, reshape, residual_norm,
+                         softmax_rows, transpose, tsum)
+from ratn.attention import (Phase, _dropout_mask, relative_position_index,
+                            relax_weights)
 
 
 def test_matmul_identity():
@@ -132,9 +133,11 @@ def test_matmul_with_leading_axes_gradients():
 
 
 def test_layer_norm_constant_vector_collapses_to_bias():
+    # residual_norm normalizes x + a; here every entry of the sum is 2.5.
     gain = Tensor(np.ones(4))
     bias = Tensor(np.zeros(4))
-    out = layer_norm(Tensor([[2.5, 2.5, 2.5, 2.5]]), gain, bias)
+    out = residual_norm(Tensor([[1.0, 2.0, 0.5, 2.5]]),
+                        Tensor([[1.5, 0.5, 2.0, 0.0]]), gain, bias)
     assert np.abs(out.data).max() < 1e-6
 
 
@@ -142,24 +145,30 @@ def test_layer_norm_output_mean_is_bias_mean():
     rng = RngStream(8, "test")
     gain = Tensor(np.ones(6))
     bias = Tensor(rng.normal((6,)))
-    out = layer_norm(Tensor(rng.normal((5, 6))), gain, bias)
+    out = residual_norm(Tensor(rng.normal((5, 6))), Tensor(rng.normal((5, 6))),
+                        gain, bias)
     assert np.abs(out.data.mean(axis=-1) - bias.data.mean()).max() < 1e-10
 
 
 def test_layer_norm_shape_error():
+    x = Tensor(np.zeros((2, 4)))
     with pytest.raises(ShapeError):
-        layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
+        residual_norm(x, x, Tensor(np.ones(3)), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        residual_norm(x, Tensor(np.zeros((1, 4))), Tensor(np.ones(4)),
+                      Tensor(np.zeros(4)))
 
 
 def test_layer_norm_gradient():
     rng = RngStream(9, "test")
     gain = Tensor(rng.normal((5,)), requires_grad=True)
     bias = Tensor(rng.normal((5,)), requires_grad=True)
+    a = Tensor(rng.normal((3, 5)))
     x = Tensor(rng.normal((3, 5)), requires_grad=True)
     w = rng.normal((3, 5))
 
     def f(t):
-        return (layer_norm(t, gain, bias) * w).sum()
+        return (residual_norm(t, a, gain, bias) * w).sum()
 
     backward(f(x))
     assert rel_err(x.grad, finite_diff_grad(f, x)) < 1e-5
@@ -255,6 +264,9 @@ _CASES = [
     ("layer_norm", lambda t, c: (layer_norm(t, Tensor(c["gain"]),
                                             Tensor(c["bias"])) * c["other"]).sum(),
      (3, 4)),
+    ("residual_norm", lambda t, c: (residual_norm(
+        Tensor(c["positive"]), t, Tensor(c["gain"]), Tensor(c["bias"]),
+        c["positive"] > 1.0) * c["other"]).sum(), (3, 4)),
 ]
 
 
@@ -304,3 +316,57 @@ def test_rng_child_streams_differ():
     base = RngStream(0, "data")
     assert not np.array_equal(base.child("train").normal((4,)),
                               base.child("dev").normal((4,)))
+
+
+# ---------------------------------------------------------------------------
+# exact kernels: each must give the bits of the plain NumPy form it replaces
+
+
+@pytest.mark.parametrize("case", ["repeated", "window_rel_index"])
+def test_embedding_pullback_equals_add_at_bit_for_bit(case):
+    rng = RngStream(12, case)
+    if case == "repeated":
+        idx = np.array([[3, 1, 3, 3], [0, 3, 1, 6]])
+        table = Tensor(rng.normal((7, 5)), requires_grad=True)
+    else:  # the window classifier's position-bias gather, window side 4
+        idx = relative_position_index(4).reshape(-1)
+        table = Tensor(rng.normal((49, 2)), requires_grad=True)
+    g = rng.normal((*idx.shape, table.shape[1]), 0.0, 1e3)
+    backward((embedding(table, idx) * g).sum())
+    ref = np.zeros(table.shape)
+    np.add.at(ref, idx, g)
+    assert np.array_equal(table.grad, ref)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_dropout_multiplier_equals_the_two_pass_form_bit_for_bit(p):
+    shape = (7, 4, 9, 9)
+    one_pass = _dropout_mask(shape, p, RngStream(13, "dropout"), Phase.TRAIN)
+    mask = RngStream(13, "dropout").bernoulli_mask(shape, 1.0 - p)
+    two_pass = mask.astype(np.float64) / (1.0 - p)
+    assert one_pass.dtype == np.float64
+    assert np.array_equal(one_pass, two_pass)
+    assert 0 < np.count_nonzero(one_pass) < one_pass.size
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (32, 4, 10, 9), (600, 2),
+                                   (2, 4, 2, 16, 16)])
+def test_row_max_and_softmax_equal_the_numpy_max_forms(shape):
+    # Equal values; a zero maximum may differ in sign, which the shifted
+    # exp cannot see, so the softmax is equal byte for byte.
+    x = RngStream(14, "t").normal(shape)
+    x.reshape(-1)[::7] = -1e30
+    x.reshape(-1)[3::11] = np.inf
+    x.reshape(-1)[5::13] = -np.inf
+    x.reshape(-1)[2::17] = -0.0
+    x.reshape(-1)[4::17] = 0.0
+    with np.errstate(invalid="ignore"):
+        for data in (x, np.where(np.isinf(x), 0.0, x)):
+            plain = np.exp(data - data.max(axis=-1, keepdims=True))
+            plain = plain / plain.sum(axis=-1, keepdims=True)
+            assert np.array_equal(_row_max(data),
+                                  data.max(axis=-1, keepdims=True))
+            assert _softmax(data)[0].tobytes() == plain.tobytes()
+    x.reshape(-1)[1::19] = np.nan
+    assert np.array_equal(_row_max(x), x.max(axis=-1, keepdims=True),
+                          equal_nan=True)

@@ -7,13 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rel_err
-from ratn.attention import Phase, RelaxationConfig
+from helpers import assert_matches_oracle, fd_grad, layer_norm, rel_err, relu
+from ratn.attention import Phase, RelaxationConfig, _dropout_mask
 from ratn.rng import RngStream
-from ratn.tensor import Tensor, backward, finite_diff_grad
+from ratn.tensor import Tensor, add, backward, finite_diff_grad, matmul, mul
 from ratn.training import label_smoothed_nll, teacher_forcing_pair
-from ratn.transformer import (BOS_ID, EOS_ID, ModelConfig, Seq2SeqModel,
-                              check_token_sequence, sinusoidal_positions)
+from ratn.transformer import (BOS_ID, EOS_ID, FeedForward, LayerNormParams,
+                              ModelConfig, Seq2SeqModel, check_token_sequence,
+                              sinusoidal_positions)
 
 TINY = ModelConfig(n_enc=1, n_dec=1, n_heads=2, d_model=8, d_ff=16,
                    vocab_size=10, max_len=12, dropout_residual=0.0,
@@ -290,3 +291,137 @@ def test_dropout_draws_are_reproducible_across_models():
     pa = a.forward_teacher_forced(x, y, Phase.TRAIN).data
     pb = b.forward_teacher_forced(x, y, Phase.TRAIN).data
     assert np.array_equal(pa, pb)
+
+
+# ---------------------------------------------------------------------------
+# the fused feed-forward and residual-norm nodes
+
+_LEADS = {"3d": (2, 3), "5d": (2, 1, 2, 3)}
+
+
+def _ffn_case(lead, rng):
+    ff = FeedForward.init(4, 6, RngStream(70, "init"))
+    ff.b1.data = rng.normal((6,), 0.0, 0.3)
+    ff.b2.data = rng.normal((4,))
+    x = Tensor(rng.normal((*lead, 4)), requires_grad=True)
+    return ff, x, {"x": x, **ff.tensors()}
+
+
+def _norm_case(lead, rng):
+    ln = LayerNormParams.init(5)
+    ln.gain.data = rng.normal((5,))
+    ln.bias.data = rng.normal((5,))
+    x = Tensor(rng.normal((*lead, 5)), requires_grad=True)
+    a = Tensor(rng.normal((*lead, 5)), requires_grad=True)
+    return ln, x, a, {"x": x, "a": a, **ln.tensors()}
+
+
+@pytest.mark.parametrize("phase", [Phase.EVAL, Phase.TRAIN])
+@pytest.mark.parametrize("lead", sorted(_LEADS))
+def test_feed_forward_gradients_match_finite_differences(lead, phase):
+    # Every input of the node; in TRAIN activation dropout 0.3 draws from a
+    # stream re-created for every evaluation, so each applies the same mask.
+    rng = RngStream(71, lead)
+    ff, x, leaves = _ffn_case(_LEADS[lead], rng)
+    probe = rng.normal(x.shape)
+
+    def loss():
+        return (ff(x, 0.3, RngStream(72, "dropout"), phase) * probe).sum()
+
+    if phase == Phase.TRAIN:  # the mask drops something
+        assert not np.array_equal(loss().data, (ff(x) * probe).sum().data)
+    for leaf in leaves.values():
+        leaf.grad = None
+    backward(loss())
+    for name, leaf in leaves.items():
+        assert rel_err(leaf.grad, fd_grad(loss, leaf)) < 1e-7, name
+
+
+@pytest.mark.parametrize("phase", [Phase.EVAL, Phase.TRAIN])
+@pytest.mark.parametrize("lead", sorted(_LEADS))
+def test_residual_norm_gradients_match_finite_differences(lead, phase):
+    rng = RngStream(73, lead)
+    ln, x, a, leaves = _norm_case(_LEADS[lead], rng)
+    probe = rng.normal(x.shape)
+
+    def loss():
+        return (ln(x, a, 0.3, RngStream(74, "dropout"), phase) * probe).sum()
+
+    if phase == Phase.TRAIN:
+        assert not np.array_equal(loss().data, (ln(x, a) * probe).sum().data)
+    for leaf in leaves.values():
+        leaf.grad = None
+    backward(loss())
+    for name, leaf in leaves.items():
+        assert rel_err(leaf.grad, fd_grad(loss, leaf)) < 1e-7, name
+
+
+@pytest.mark.parametrize("phase", [Phase.EVAL, Phase.TRAIN])
+@pytest.mark.parametrize("lead", sorted(_LEADS))
+def test_feed_forward_matches_generic_op_oracle(lead, phase):
+    rng = RngStream(75, lead)
+    ff, x, leaves = _ffn_case(_LEADS[lead], rng)
+    fused = ff(x, 0.3, RngStream(76, "dropout"), phase)
+    h = relu(add(matmul(x, ff.w1), ff.b1))
+    keep = _dropout_mask(h.shape, 0.3, RngStream(76, "dropout"), phase)
+    if keep is not None:
+        h = mul(h, keep)
+    assert_matches_oracle(fused, add(matmul(h, ff.w2), ff.b2), leaves,
+                          rng.normal(fused.shape))
+
+
+@pytest.mark.parametrize("phase", [Phase.EVAL, Phase.TRAIN])
+@pytest.mark.parametrize("lead", sorted(_LEADS))
+def test_residual_norm_matches_generic_op_oracle(lead, phase):
+    rng = RngStream(77, lead)
+    ln, x, a, leaves = _norm_case(_LEADS[lead], rng)
+    fused = ln(x, a, 0.3, RngStream(78, "dropout"), phase)
+    keep = _dropout_mask(a.shape, 0.3, RngStream(78, "dropout"), phase)
+    dropped = a if keep is None else mul(a, keep)
+    assert_matches_oracle(fused, layer_norm(add(x, dropped), ln.gain, ln.bias),
+                          leaves, rng.normal(fused.shape))
+
+
+def test_feed_forward_relu_matches_the_oracle_on_edge_values():
+    # One unit with identity weights and zero biases: the node's output is
+    # its ReLU output, here on NaN, zeros, subnormals and infinities.
+    ff = FeedForward(w1=Tensor([[1.0]]), b1=Tensor([0.0]),
+                     w2=Tensor([[1.0]]), b2=Tensor([0.0]))
+    col = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                    2.5, -2.5])
+    for n in range(1, 2 * col.size):
+        x = Tensor(np.resize(np.roll(col, n), n)[:, None])
+        generic = add(matmul(relu(add(matmul(x, ff.w1), ff.b1)), ff.w2), ff.b2)
+        assert ff(x).data.tobytes() == generic.data.tobytes()
+
+
+# Shapes of the dropout masks one desk-model Phase.TRAIN forward draws, in
+# order, for a [3, 6] source and a [3, 5] target: embedding, then per encoder
+# layer attention weights, residual, activation, residual; embedding, then per
+# decoder layer self weights, residual, cross weights, residual, activation,
+# residual. Recorded before the sublayers became one node each.
+DESK_MASK_SHAPES = [
+    (3, 6, 32), (3, 4, 6, 6), (3, 6, 32), (3, 6, 64), (3, 6, 32),
+    (3, 4, 6, 6), (3, 6, 32), (3, 6, 64), (3, 6, 32),
+    (3, 5, 32), (3, 4, 5, 5), (3, 5, 32), (3, 4, 5, 6), (3, 5, 32),
+    (3, 5, 64), (3, 5, 32), (3, 4, 5, 5), (3, 5, 32), (3, 4, 5, 6),
+    (3, 5, 32), (3, 5, 64), (3, 5, 32),
+]
+
+
+def test_desk_train_step_draws_the_recorded_mask_shapes(monkeypatch):
+    draws = []
+    original = RngStream.bernoulli_mask
+
+    def recording(self, shape, keep_prob):
+        draws.append((self.stream_id, tuple(shape), keep_prob))
+        return original(self, shape, keep_prob)
+
+    monkeypatch.setattr(RngStream, "bernoulli_mask", recording)
+    model = Seq2SeqModel(ModelConfig(n_enc=2, n_dec=2, n_heads=4, d_model=32,
+                                     d_ff=64), seed=0)
+    data = RngStream(1, "t")
+    model.forward_teacher_forced(data.integers(3, 32, (3, 6)),
+                                 data.integers(3, 32, (3, 5)), Phase.TRAIN)
+    assert [shape for _, shape, _ in draws] == DESK_MASK_SHAPES
+    assert {(stream, keep) for stream, _, keep in draws} == {("dropout", 0.9)}
