@@ -295,14 +295,14 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
-    """x.max(axis=-1, keepdims=True); a zero maximum may differ in sign only,
-    which leaves x - max and its exp unchanged. NumPy reduces a short last
-    axis row by row; over many rows (attention logits) a column-wise
-    np.maximum is several times faster."""
-    if x.size < 512 * x.shape[-1]:
+    """x.max(axis=-1, keepdims=True) up to the sign of a zero maximum, which
+    x - max cannot see. A column-wise np.maximum is faster on <= 32 keys and
+    >= 32 rows per key (attention logits), max(-1) on the rest (CHANGES.md)."""
+    n = x.shape[-1]
+    if n > 32 or x.size < 32 * n * n:
         return x.max(axis=-1, keepdims=True)
     m = x[..., 0]
-    for j in range(1, x.shape[-1]):
+    for j in range(1, n):
         m = np.maximum(m, x[..., j])
     return m[..., None]
 

@@ -120,8 +120,8 @@ class FeedForward:
     def tensors(self) -> dict[str, Tensor]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
-    def __call__(self, x: Tensor, p: float = 0.0, rng: RngStream | None = None,
-                 phase=Phase.EVAL) -> Tensor:
+    def __call__(self, x: Tensor, p: float, rng: RngStream | None,
+                 phase: Phase) -> Tensor:
         """relu(x @ w1 + b1), activation dropout, then @ w2 + b2: one node."""
         w1, w2 = self.w1.data, self.w2.data
         pre = x.data @ w1 + self.b1.data

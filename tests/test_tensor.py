@@ -350,7 +350,8 @@ def test_dropout_multiplier_equals_the_two_pass_form_bit_for_bit(p):
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (32, 4, 10, 9), (600, 2),
-                                   (2, 4, 2, 16, 16)])
+                                   (2, 4, 2, 16, 16), (8, 4, 2, 16, 16),
+                                   (32, 9, 35), (2048, 48)])
 def test_row_max_and_softmax_equal_the_numpy_max_forms(shape):
     # Equal values; a zero maximum may differ in sign, which the shifted
     # exp cannot see, so the softmax is equal byte for byte.

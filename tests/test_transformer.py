@@ -329,7 +329,8 @@ def test_feed_forward_gradients_match_finite_differences(lead, phase):
         return (ff(x, 0.3, RngStream(72, "dropout"), phase) * probe).sum()
 
     if phase == Phase.TRAIN:  # the mask drops something
-        assert not np.array_equal(loss().data, (ff(x) * probe).sum().data)
+        plain = ff(x, 0.0, None, Phase.EVAL)
+        assert not np.array_equal(loss().data, (plain * probe).sum().data)
     for leaf in leaves.values():
         leaf.grad = None
     backward(loss())
@@ -392,7 +393,8 @@ def test_feed_forward_relu_matches_the_oracle_on_edge_values():
     for n in range(1, 2 * col.size):
         x = Tensor(np.resize(np.roll(col, n), n)[:, None])
         generic = add(matmul(relu(add(matmul(x, ff.w1), ff.b1)), ff.w2), ff.b2)
-        assert ff(x).data.tobytes() == generic.data.tobytes()
+        fused = ff(x, 0.0, None, Phase.EVAL)
+        assert fused.data.tobytes() == generic.data.tobytes()
 
 
 # Shapes of the dropout masks one desk-model Phase.TRAIN forward draws, in
