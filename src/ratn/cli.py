@@ -20,15 +20,15 @@ from pathlib import Path
 
 from .checkpoint import load_model, save_model, write_atomic
 from .decoding import bigram_lm_train, decode_corpus
-from .experiment import (ExperimentSpec, LM_NONE, gamma_sweep,
-                         ilm_suppression_report, provenance,
-                         resolve_model_config, run_experiment)
+from .experiment import (LM_CORPORA, LM_NONE, TASKS, ExperimentSpec,
+                         build_task_data, gamma_sweep, ilm_suppression_report,
+                         provenance, resolve_model_config, run_experiment)
 from .metrics import corpus_bleu, wer
-from .tasks import build_task_data
 from .training import TrainConfig, train
 from .transformer import Seq2SeqModel
 
 OUTPUT_ROOT_ENV = "RATN_OUTPUT_ROOT"
+SEQ2SEQ_COMMANDS = ("train", "decode", "eval")  # for tasks whose row allows them
 
 
 def _out_dir(args, spec: ExperimentSpec | None = None) -> Path:
@@ -40,6 +40,8 @@ def _out_dir(args, spec: ExperimentSpec | None = None) -> Path:
 
 def _load_spec(args) -> ExperimentSpec:
     spec = ExperimentSpec.load(args.spec)
+    if args.command in SEQ2SEQ_COMMANDS and not TASKS[spec.task].seq2seq_cli:
+        raise SystemExit(f"use `ratn experiment` for the {spec.task} task")
     if getattr(args, "seed", None) is not None:
         spec = dataclasses.replace(spec, seeds=(args.seed,))
     return spec
@@ -52,8 +54,6 @@ def _config_hash(spec: ExperimentSpec) -> str:
 
 def cmd_train(args) -> int:
     spec = _load_spec(args)
-    if spec.task == "window_classify":
-        raise SystemExit("use `ratn experiment` for the window_classify task")
     out = _out_dir(args, spec)
     if not 0 <= args.setting < len(spec.relax_grid):
         raise SystemExit(f"--setting must be in 0..{len(spec.relax_grid) - 1}")
@@ -76,12 +76,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _split_corpus(data, split: str):
-    if split not in ("dev", "test"):
-        raise SystemExit(f"unknown split {split!r}")
-    return data.dev if split == "dev" else data.test
-
-
 def cmd_decode(args) -> int:
     if args.beam is not None and args.beam < 1:
         raise SystemExit(f"--beam must be >= 1, got {args.beam}")
@@ -91,7 +85,7 @@ def cmd_decode(args) -> int:
     out = _out_dir(args, spec)
     data = build_task_data(spec.task, spec.task_params)
     model = load_model(args.checkpoint)
-    corpus = _split_corpus(data, args.split)
+    corpus = getattr(data, args.split)
     lm = None
     if args.lm != LM_NONE:
         if spec.lm is None:
@@ -118,7 +112,7 @@ def cmd_eval(args) -> int:
     spec = _load_spec(args)
     out = _out_dir(args, spec)
     data = build_task_data(spec.task, spec.task_params)
-    corpus = _split_corpus(data, args.split)
+    corpus = getattr(data, args.split)
     refs = [list(map(int, t)) for t in corpus.targets]
     with open(args.hyps) as f:
         hyps = [json.loads(line)["tokens"] for line in f]
@@ -183,9 +177,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("decode", help="decode a split with a checkpoint")
     add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=["dev", "test"])
     p.add_argument("--lm", default=LM_NONE,
-                   choices=[LM_NONE, "in_domain", "extended"])
+                   choices=[LM_NONE, *LM_CORPORA])
     p.add_argument("--lm-lambda", type=float, default=0.4,
                    help="fusion weight when --lm is set (speech-recipe "
                         "default 0.4); ignored without an LM")
@@ -195,7 +189,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("eval", help="score decoded output against references")
     add_common(p)
     p.add_argument("--hyps", required=True, help="decoded JSON-lines file")
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=["dev", "test"])
     p.add_argument("--metric", default="wer", choices=["wer", "bleu"])
     p.set_defaults(fn=cmd_eval)
 

@@ -8,12 +8,14 @@ a mean/std summary. Identical specs produce byte-identical files: no
 timestamps, sorted keys, sorted rows, and every default materialized into
 the output for provenance.
 
-run_experiment and gamma_sweep both run their cells through _run_cells: task
-data built once (tasks.build_task_data), one _cell_job per cell (in process
-at workers=1, above that on a pool of fresh interpreters that each load BLAS
-with one thread, so N workers keep to N CPUs), a cell_failed row for a cell
-that raises. Splits are decoded by decoding.decode_corpus, without taping.
-Output files are replaced atomically (checkpoint.write_atomic).
+TASKS, the one table of tasks, owns every per-task decision; no other code
+tests a task's name. run_experiment and gamma_sweep both run their cells
+through _run_cells: task data built once (build_task_data), one _cell_job per
+cell, which runs the task's cell runner (in process at workers=1, above that
+on a pool of fresh interpreters that each load BLAS with one thread, so N
+workers keep to N CPUs), a cell_failed row for a cell that raises. Splits are
+decoded by decoding.decode_corpus, without taping. Output files are replaced
+atomically (checkpoint.write_atomic).
 """
 
 from __future__ import annotations
@@ -21,19 +23,21 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
+from . import tasks
 from .attention import MODE_TRAIN_ONLY, RelaxationConfig, _MODES
 from .checkpoint import write_atomic
 from .decoding import BigramLm, bigram_lm_train, decode_corpus
 from .metrics import wer
-from .tasks import TASKS, ParallelCorpus, SequenceTaskData, build_task_data
 from .tensor import no_grad
 from .training import TrainConfig, train
 from .transformer import ModelConfig, Phase, Seq2SeqModel
@@ -41,6 +45,7 @@ from .window_classifier import (WindowClassifier, WindowClassifierConfig,
                                 train_classifier)
 
 LM_NONE = "none"
+LM_CORPORA = ("in_domain", "extended")  # the text corpora a task may offer
 # read by BLAS when it loads, so they are set before a worker starts
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -103,7 +108,7 @@ class LmSpec:
         if not self.corpora:
             raise ValueError("lm.corpora must be non-empty")
         for c in self.corpora:
-            if c not in ("in_domain", "extended"):
+            if c not in LM_CORPORA:
                 raise ValueError(f"unknown lm corpus {c!r}")
         if not self.lambda_grid:
             raise ValueError("lm.lambda_grid must be non-empty")
@@ -147,7 +152,7 @@ class ExperimentSpec:
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
         try:
-            TASKS[self.task][0](**self.task_params)
+            TASKS[self.task].params(**self.task_params)
         except TypeError as err:  # an unknown key
             raise ValueError(f"bad task_params for {self.task!r}: {err}") from None
 
@@ -191,20 +196,20 @@ def resolve_model_config(spec: ExperimentSpec, data,
     tgt_len = data.train.targets.shape[1]
     overrides.setdefault("vocab_size", data.vocab_size)
     overrides.setdefault("max_len", max(src_len, tgt_len + 4))
-    relax = setting.relaxation()
-    if setting.site == "self":
-        overrides["relax_self"] = relax
-    elif setting.site == "cross":
-        overrides["relax_cross"] = relax
-    elif setting.site == "window":
-        raise ValueError("site 'window' applies to the window_classify task only")
+    if setting.site != "none":
+        if setting.site not in TASKS[spec.task].gamma_grid:
+            owners = ", ".join(t for t, row in TASKS.items()
+                               if setting.site in row.gamma_grid)
+            raise ValueError(f"site {setting.site!r} applies to the {owners} "
+                             "task only")
+        overrides[f"relax_{setting.site}"] = setting.relaxation()
     return ModelConfig(**overrides)
 
 
 def resolve_classifier_config(spec: ExperimentSpec, data,
                               setting: RelaxSetting) -> WindowClassifierConfig:
-    if setting.site not in ("none", "window"):
-        raise ValueError(f"site {setting.site!r} does not apply to window_classify")
+    if setting.site not in ("none", *TASKS[spec.task].gamma_grid):
+        raise ValueError(f"site {setting.site!r} does not apply to {spec.task}")
     overrides = dict(spec.model)
     for name in ("height", "width", "channels", "window", "n_classes"):
         overrides.setdefault(name, getattr(data.spec, name))
@@ -222,32 +227,33 @@ def _base_row(setting: RelaxSetting, seed: int) -> dict:
             "mode": setting.mode, "fuzzy": setting.fuzzy, "seed": seed}
 
 
-def run_sequence_cell(spec: ExperimentSpec, data: SequenceTaskData,
+def run_sequence_cell(spec: ExperimentSpec, data: tasks.SequenceTaskData,
                       setting: RelaxSetting, seed: int) -> list[dict]:
     """Train one model and produce result rows for every decode performed.
 
     Decodes: dev without LM, dev per (corpus, lambda) on the grid, test
     without LM, and test once per corpus at the dev-selected lambda (ties go
-    to the smaller lambda). Test is never used for selection. Each split is
-    encoded once and its encoder output reused by every decode.
+    to the earlier lambda of the grid). Test is never used for selection.
+    Each split is encoded once and its encoder output reused by every decode.
     """
     cfg = resolve_model_config(spec, data, setting)
+    corpora = spec.lm.corpora if spec.lm is not None else ()
+    for name in corpora:  # before training, which a missing corpus would waste
+        if name not in data.text:
+            raise ValueError(f"task {spec.task!r} has no {name!r} text corpus")
     train_cfg = TrainConfig(**{**spec.train, "seed": seed})
     model = Seq2SeqModel(cfg, seed=seed)
     train(model, data.train.sources, data.train.targets, train_cfg)
-    lms: dict[str, BigramLm] = {}
-    if spec.lm is not None:
-        for name in spec.lm.corpora:
-            if name not in data.text:
-                raise ValueError(f"task {spec.task!r} has no {name!r} text corpus")
-            lms[name] = bigram_lm_train(data.text[name], cfg.vocab_size, spec.lm.k)
+    lms: dict[str, BigramLm] = {
+        name: bigram_lm_train(data.text[name], cfg.vocab_size, spec.lm.k)
+        for name in corpora}
     max_len = data.train.targets.shape[1] + 2
     rows: list[dict] = []
     with no_grad():
         encoded = {"dev": model.encode(data.dev.sources, Phase.EVAL),
                    "test": model.encode(data.test.sources, Phase.EVAL)}
 
-    def decode_and_score(split: str, corpus: ParallelCorpus, lm_name: str,
+    def decode_and_score(split: str, corpus: tasks.ParallelCorpus, lm_name: str,
                          lam: float) -> float:
         decoded = decode_corpus(model, corpus.sources, spec.beam,
                                 lm=lms.get(lm_name), lam=lam, max_len=max_len,
@@ -261,12 +267,9 @@ def run_sequence_cell(spec: ExperimentSpec, data: SequenceTaskData,
     decode_and_score("dev", data.dev, LM_NONE, 0.0)
     selected: dict[str, float] = {}
     for name in lms:
-        best_lam, best_val = None, None
-        for lam in spec.lm.lambda_grid:
-            val = decode_and_score("dev", data.dev, name, float(lam))
-            if best_val is None or val < best_val:
-                best_lam, best_val = float(lam), val
-        selected[name] = best_lam
+        lams = [float(lam) for lam in spec.lm.lambda_grid]
+        values = [decode_and_score("dev", data.dev, name, lam) for lam in lams]
+        selected[name] = lams[values.index(min(values))]  # first of a tie
     decode_and_score("test", data.test, LM_NONE, 0.0)
     for name, lam in selected.items():
         decode_and_score("test", data.test, name, lam)
@@ -287,11 +290,41 @@ def run_classify_cell(spec: ExperimentSpec, data, setting: RelaxSetting,
     return rows
 
 
+@dataclass(frozen=True)
+class Task:
+    """One row of TASKS: everything that sets a task apart."""
+
+    params: type  # the task's parameter spec
+    build: Callable  # params -> the data its cells consume
+    run_cell: Callable  # (spec, data, setting, seed) -> result rows
+    gamma_grid: dict  # the default gamma sweep; its keys are the legal sites
+    seq2seq_cli: bool  # whether `ratn train`, `decode` and `eval` apply
+
+
+TASKS = {
+    "copy": Task(tasks.CopyTaskSpec,
+                 partial(tasks.gen_copy_splits, gen=tasks.gen_copy_task),
+                 run_sequence_cell, DEFAULT_GAMMA_GRID, True),
+    "reverse": Task(tasks.CopyTaskSpec,
+                    partial(tasks.gen_copy_splits, gen=tasks.gen_reverse_task),
+                    run_sequence_cell, DEFAULT_GAMMA_GRID, True),
+    "toy_translate": Task(tasks.ToyTranslateSpec, tasks.gen_toy_translate,
+                          run_sequence_cell, DEFAULT_GAMMA_GRID, True),
+    "window_classify": Task(tasks.WindowClassifySpec, tasks.gen_window_classify,
+                            run_classify_cell,
+                            {"window": DEFAULT_GAMMA_GRID["self"]}, False),
+}
+
+
+def build_task_data(task: str, task_params: dict):
+    """Every split (and LM text corpus) of a task, seeded by its spec."""
+    row = TASKS[task]
+    return row.build(row.params(**task_params))
+
+
 def run_cell(spec: ExperimentSpec, data, setting: RelaxSetting,
              seed: int) -> list[dict]:
-    if spec.task == "window_classify":
-        return run_classify_cell(spec, data, setting, seed)
-    return run_sequence_cell(spec, data, setting, seed)
+    return TASKS[spec.task].run_cell(spec, data, setting, seed)
 
 
 def _cell_job(spec: ExperimentSpec, data, setting: RelaxSetting,
@@ -303,19 +336,19 @@ def _cell_job(spec: ExperimentSpec, data, setting: RelaxSetting,
                  "error": f"{type(err).__name__}: {err}"}]
 
 
-def _run_cells(spec: ExperimentSpec, cells: list[tuple[RelaxSetting, int]],
-               workers: int) -> list[list[dict]]:
-    """Rows of each (setting, seed) cell, in the order of cells."""
+def _run_cells(spec: ExperimentSpec, workers: int) -> list[tuple[tuple, list[dict]]]:
+    """Each (setting, seed) cell of the spec's grid with its rows, in order."""
+    cells = [(setting, seed) for setting in spec.relax_grid for seed in spec.seeds]
     data = build_task_data(spec.task, spec.task_params)
     jobs = (repeat(spec), repeat(data), [c[0] for c in cells],
             [c[1] for c in cells])
     if workers <= 1:
-        return list(map(_cell_job, *jobs))
+        return list(zip(cells, map(_cell_job, *jobs)))
     saved = dict(os.environ)
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
         with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-            return list(pool.map(_cell_job, *jobs))
+            return list(zip(cells, pool.map(_cell_job, *jobs)))
     finally:
         os.environ.clear()
         os.environ.update(saved)
@@ -332,7 +365,7 @@ def provenance(spec: ExperimentSpec) -> dict:
     out = {
         "type": "spec",
         "task": spec.task,
-        "task_params": dataclasses.asdict(TASKS[spec.task][0](**spec.task_params)),
+        "task_params": dataclasses.asdict(TASKS[spec.task].params(**spec.task_params)),
         "model": spec.model,
         "train": dataclasses.asdict(TrainConfig(**spec.train)),
         "relax_grid": [dataclasses.asdict(s) for s in spec.relax_grid],
@@ -345,11 +378,6 @@ def provenance(spec: ExperimentSpec) -> dict:
                 "test is decoded once per selected setting",
     }
     return _jsonable(out)
-
-
-def _write_rows(path: Path, header: dict, rows: list[dict]) -> None:
-    write_atomic(path, "".join(json.dumps(_jsonable(r), sort_keys=True) + "\n"
-                               for r in [header, *rows]))
 
 
 def summarize(rows: list[dict]) -> dict:
@@ -374,11 +402,11 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1,
                    output_dir: str | None = None) -> dict[str, Path]:
     """Run every (setting, seed) cell; write results.jsonl and summary.json."""
     out_dir = Path(output_dir or spec.output_dir)
-    cells = [(setting, seed) for setting in spec.relax_grid for seed in spec.seeds]
-    shards = _run_cells(spec, cells, workers)
-    rows = sorted((r for shard in shards for r in shard), key=_row_sort_key)
+    shards = _run_cells(spec, workers)
+    rows = sorted((r for _, shard in shards for r in shard), key=_row_sort_key)
     results_path = out_dir / "results.jsonl"
-    _write_rows(results_path, provenance(spec), rows)
+    write_atomic(results_path, "".join(json.dumps(_jsonable(r), sort_keys=True) + "\n"
+                                       for r in [provenance(spec), *rows]))
     summary_path = out_dir / "summary.json"
     summary = {"spec": provenance(spec), **summarize(rows)}
     write_atomic(summary_path, json.dumps(_jsonable(summary), sort_keys=True,
@@ -391,16 +419,11 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1,
 
 
 def resolve_gamma_grid(spec: ExperimentSpec) -> dict[str, list[float]]:
-    """Sweep grid per site; defaults to the standard search sets (the window
-    site's for window_classify), and every site's grid must include gamma = 0
-    (the baseline point). provenance reports this default too."""
-    if spec.gamma_grid is not None:
-        grid = {site: [float(g) for g in gammas]
-                for site, gammas in spec.gamma_grid.items()}
-    elif spec.task == "window_classify":
-        grid = {"window": list(DEFAULT_GAMMA_GRID["self"])}
-    else:
-        grid = {site: list(gammas) for site, gammas in DEFAULT_GAMMA_GRID.items()}
+    """Sweep grid per site; defaults to the task's row of TASKS, and every
+    site's grid must include gamma = 0 (the baseline point). provenance
+    reports this default too."""
+    given = TASKS[spec.task].gamma_grid if spec.gamma_grid is None else spec.gamma_grid
+    grid = {site: [float(g) for g in gammas] for site, gammas in given.items()}
     for site, gammas in grid.items():
         if 0.0 not in gammas:
             raise ValueError(f"gamma grid for site {site!r} must include 0")
@@ -421,10 +444,8 @@ def gamma_sweep(spec: ExperimentSpec, workers: int = 1,
         RelaxSetting(site=site, gamma=float(g), mode=MODE_TRAIN_ONLY)
         for site, gammas in grid.items() for g in gammas))
     sweep_spec = dataclasses.replace(spec, relax_grid=sweep_grid, lm=None)
-    cells = [(setting, seed) for setting in sweep_grid for seed in spec.seeds]
     rows: list[tuple] = []
-    for (setting, seed), cell_rows in zip(cells, _run_cells(sweep_spec, cells,
-                                                            workers)):
+    for (setting, seed), cell_rows in _run_cells(sweep_spec, workers):
         dev = [r for r in cell_rows if r.get("split") == "dev"
                and r.get("lm") == LM_NONE]
         if not dev:
@@ -451,12 +472,9 @@ def ilm_suppression_report(results_path) -> dict:
     corpus is metric(no LM) - metric(selected lambda with that LM), reported
     per seed with mean and median across seeds.
     """
-    rows = []
     with open(results_path) as f:
-        for line in f:
-            row = json.loads(line)
-            if row.get("type") == "result" and row.get("split") == "test":
-                rows.append(row)
+        rows = [row for row in map(json.loads, f)
+                if row.get("type") == "result" and row.get("split") == "test"]
     if not rows:
         raise ValueError(f"no test result rows in {results_path}")
     settings = sorted({r["setting"] for r in rows},

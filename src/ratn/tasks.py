@@ -1,6 +1,6 @@
-"""Synthetic tasks. TASKS, the one table of tasks, holds each task's
-parameter spec and the builder of the data its cells consume (a
-SequenceTaskData or a WindowClassifyData); build_task_data looks it up.
+"""Synthetic tasks: their parameter specs and seeded data generators, which
+build a SequenceTaskData or a WindowClassifyData. The table that names each
+task's spec and generator is experiment.TASKS.
 
 Copy/reverse are seq2seq sanity tasks. The toy translation task is built so
 an external language model has something real to contribute: a few source
@@ -16,7 +16,6 @@ cannot add much beyond what the model already internalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -73,7 +72,7 @@ def gen_reverse_task(rng: RngStream, vocab_size: int, length: int,
                           targets=corpus.sources[:, ::-1].copy())
 
 
-def _gen_copy_splits(spec: CopyTaskSpec, gen) -> SequenceTaskData:
+def gen_copy_splits(spec: CopyTaskSpec, gen) -> SequenceTaskData:
     """Seeded splits of gen; the LM text is the training targets."""
     rng = RngStream(spec.data_seed, "data")
     train, dev, test = (
@@ -278,15 +277,3 @@ def gen_window_classify(spec: WindowClassifySpec) -> WindowClassifyData:
         test=_classify_corpus(spec, templates, rng.child("test"), spec.n_test),
         templates=templates)
 
-
-# Every task's parameter spec and data builder: the one table of tasks.
-TASKS = {"copy": (CopyTaskSpec, partial(_gen_copy_splits, gen=gen_copy_task)),
-         "reverse": (CopyTaskSpec, partial(_gen_copy_splits, gen=gen_reverse_task)),
-         "toy_translate": (ToyTranslateSpec, gen_toy_translate),
-         "window_classify": (WindowClassifySpec, gen_window_classify)}
-
-
-def build_task_data(task: str, task_params: dict):
-    """Every split (and LM text corpus) of a task, seeded by its spec."""
-    spec_cls, build = TASKS[task]
-    return build(spec_cls(**task_params))

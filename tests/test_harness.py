@@ -289,6 +289,37 @@ def test_experiment_records_failed_cells(tmp_path):
     assert any(r["type"] == "cell_failed" for r in rows)
 
 
+def test_missing_lm_corpus_fails_the_cell_before_training(tmp_path, monkeypatch):
+    import ratn.experiment as exp
+    monkeypatch.setattr(exp, "train", _never)
+    spec = fast_spec(tmp_path, lm=LmSpec(corpora=("extended",)))
+    rows = [json.loads(l) for l in open(run_experiment(spec)["results"])]
+    assert rows[1:] == [{"type": "cell_failed", "setting": "baseline", "seed": 0,
+                         "error": "ValueError: task 'copy' has no 'extended' "
+                                  "text corpus"}]
+
+
+def test_no_module_compares_a_task_to_a_task_name():
+    # TASKS owns every per-task decision: code reads the task's row instead
+    import ast
+    from pathlib import Path
+
+    import ratn
+    from ratn.experiment import TASKS
+    found = []
+    for path in sorted(Path(ratn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            names = {getattr(o, "id", getattr(o, "attr", None)) for o in operands}
+            literals = {c.value for o in operands for c in ast.walk(o)
+                        if isinstance(c, ast.Constant)}
+            if "task" in names and literals & set(TASKS):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_window_classify_experiment(tmp_path):
     spec = ExperimentSpec(
         task="window_classify",
@@ -540,6 +571,21 @@ def _never(*args, **kwargs):
     raise AssertionError("ran past an invalid flag")
 
 
+@pytest.mark.parametrize("command", ["train", "decode", "eval"])
+def test_cli_seq2seq_commands_reject_the_window_task_before_any_work(
+        tmp_path, monkeypatch, command):
+    import ratn.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "build_task_data", _never)
+    monkeypatch.setattr(cli_mod, "load_model", _never)
+    spec_path = _write_spec(tmp_path, task="window_classify", task_params={},
+                            model={}, lm=None)
+    extra = {"train": [], "decode": ["--checkpoint", str(tmp_path / "m.ratn")],
+             "eval": ["--hyps", str(tmp_path / "hyps.jsonl")]}[command]
+    with pytest.raises(SystemExit,
+                       match="use `ratn experiment` for the window_classify task"):
+        cli_main([command, "--spec", str(spec_path), *extra])
+
+
 def test_cli_decode_rejects_negative_lm_lambda_before_any_work(tmp_path,
                                                               monkeypatch):
     import ratn.cli as cli_mod
@@ -638,18 +684,37 @@ def test_gamma_sweep_window_task_defaults(tmp_path):
     assert all(l.startswith("window,") for l in lines[1:])
 
 
+SEQ_GRID = {"self": [0.0, 0.0001, 0.001, 0.01, 0.05, 0.1],
+            "cross": [0.0, 0.1, 0.15, 0.2, 0.25, 0.3]}
+SEQ_RULES = (SEQ_GRID, "resolve_model_config",
+             "site 'window' applies to the window_classify task only")
+# task -> (default sweep grid, config resolver, error for a site it lacks)
+SITE_RULES = {"copy": SEQ_RULES, "reverse": SEQ_RULES, "toy_translate": SEQ_RULES,
+              "window_classify": ({"window": SEQ_GRID["self"]},
+                                  "resolve_classifier_config",
+                                  "site '{site}' does not apply to window_classify")}
+
+
 def test_resolve_gamma_grid_defaults():
-    from ratn.experiment import resolve_gamma_grid
-    seq = ExperimentSpec(task="copy")
-    assert resolve_gamma_grid(seq) == {
-        "self": [0.0, 0.0001, 0.001, 0.01, 0.05, 0.1],
-        "cross": [0.0, 0.1, 0.15, 0.2, 0.25, 0.3]}
-    win = ExperimentSpec(task="window_classify")
-    assert list(resolve_gamma_grid(win)) == ["window"]
-    assert 0.0 in resolve_gamma_grid(win)["window"]
+    # every task's default sweep covers exactly the sites its resolver takes
+    import ratn.experiment as exp
+    for task, (grid, resolver, error) in SITE_RULES.items():
+        spec = ExperimentSpec(task=task)
+        assert exp.resolve_gamma_grid(spec) == grid
+        resolve, data = getattr(exp, resolver), build_task_data(task, {})
+        resolve(spec, data, RelaxSetting(site="none"))
+        for site in ("self", "cross", "window"):
+            setting = RelaxSetting(site=site, gamma=0.1)
+            if site in grid:
+                resolve(spec, data, setting)
+            else:
+                with pytest.raises(ValueError) as err:
+                    resolve(spec, data, setting)
+                assert str(err.value) == error.format(site=site)
 
 
-@pytest.mark.parametrize("task", ["copy", "window_classify"])
+@pytest.mark.parametrize("task", ["copy", "reverse", "toy_translate",
+                                  "window_classify"])
 def test_provenance_reports_the_default_gamma_grid_the_sweep_runs(task):
     from ratn.experiment import provenance, resolve_gamma_grid
     spec = ExperimentSpec(task=task)
