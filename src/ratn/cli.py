@@ -22,13 +22,14 @@ from .checkpoint import load_model, save_model, write_atomic
 from .decoding import bigram_lm_train, decode_corpus
 from .experiment import (LM_CORPORA, LM_NONE, TASKS, ExperimentSpec,
                          build_task_data, gamma_sweep, ilm_suppression_report,
-                         provenance, resolve_model_config, run_experiment)
+                         provenance, resolve_model_config, run_experiment,
+                         run_sequence_cell)
 from .metrics import corpus_bleu, wer
 from .training import TrainConfig, train
 from .transformer import Seq2SeqModel
 
 OUTPUT_ROOT_ENV = "RATN_OUTPUT_ROOT"
-SEQ2SEQ_COMMANDS = ("train", "decode", "eval")  # for tasks whose row allows them
+SEQ2SEQ_COMMANDS = ("train", "decode", "eval")  # for the sequence tasks only
 
 
 def _out_dir(args, spec: ExperimentSpec | None = None) -> Path:
@@ -40,7 +41,8 @@ def _out_dir(args, spec: ExperimentSpec | None = None) -> Path:
 
 def _load_spec(args) -> ExperimentSpec:
     spec = ExperimentSpec.load(args.spec)
-    if args.command in SEQ2SEQ_COMMANDS and not TASKS[spec.task].seq2seq_cli:
+    if (args.command in SEQ2SEQ_COMMANDS
+            and TASKS[spec.task].run_cell is not run_sequence_cell):
         raise SystemExit(f"use `ratn experiment` for the {spec.task} task")
     if getattr(args, "seed", None) is not None:
         spec = dataclasses.replace(spec, seeds=(args.seed,))

@@ -161,10 +161,12 @@ def beam_search_batch(model: Seq2SeqModel, h: Tensor, beam: int,
 
 
 def decode_corpus(model: Seq2SeqModel, sources: np.ndarray, beam: int,
-                  lm: BigramLm | None = None, lam: float = 0.0,
-                  max_len: int | None = None, eos_margin: float = 0.0, *,
+                  lm: BigramLm | None = None, lam: float = 0.0, *,
+                  max_len: int, eos_margin: float = 0.0,
                   h: Tensor | None = None) -> list[tuple[list[int], float]]:
-    """(output, score) of the best beam hypothesis per source.
+    """(output, score) of the best beam hypothesis per source, searched for
+    at most max_len steps (every library caller passes the split's reference
+    length + 2).
 
     The sources are encoded as one batch without taping unless h, their
     encoder output, is given: a split decoded repeatedly is encoded once.
@@ -174,8 +176,7 @@ def decode_corpus(model: Seq2SeqModel, sources: np.ndarray, beam: int,
     if h is None:
         with no_grad():
             h = model.encode(sources, Phase.EVAL)
-    hyps = beam_search_batch(model, h, beam, lm=lm, lam=lam,
-                             max_len=max_len or model.config.max_len - 2,
+    hyps = beam_search_batch(model, h, beam, lm=lm, lam=lam, max_len=max_len,
                              eos_margin=eos_margin)
     return [(best.output, best.score) for best, *_ in hyps]
 

@@ -149,6 +149,11 @@ class ExperimentSpec:
             raise ValueError("seeds must be non-empty")
         if not self.relax_grid:
             raise ValueError("relax_grid must be non-empty")
+        for name, keys in (("seed", self.seeds),
+                           ("setting label", [s.label for s in self.relax_grid])):
+            repeated = sorted({k for k in keys if keys.count(k) > 1})
+            if repeated:  # their cells would merge in the results
+                raise ValueError(f"repeated {name}s: {repeated}")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
         try:
@@ -211,7 +216,7 @@ def resolve_classifier_config(spec: ExperimentSpec, data,
     if setting.site not in ("none", *TASKS[spec.task].gamma_grid):
         raise ValueError(f"site {setting.site!r} does not apply to {spec.task}")
     overrides = dict(spec.model)
-    for name in ("height", "width", "channels", "window", "n_classes"):
+    for name in ("channels", "window", "n_classes"):
         overrides.setdefault(name, getattr(data.spec, name))
     overrides["relax"] = setting.relaxation()
     return WindowClassifierConfig(**overrides)
@@ -292,27 +297,28 @@ def run_classify_cell(spec: ExperimentSpec, data, setting: RelaxSetting,
 
 @dataclass(frozen=True)
 class Task:
-    """One row of TASKS: everything that sets a task apart."""
+    """One row of TASKS: everything that sets a task apart. `ratn train`,
+    `decode` and `eval` apply to the tasks whose run_cell is
+    run_sequence_cell."""
 
     params: type  # the task's parameter spec
     build: Callable  # params -> the data its cells consume
     run_cell: Callable  # (spec, data, setting, seed) -> result rows
     gamma_grid: dict  # the default gamma sweep; its keys are the legal sites
-    seq2seq_cli: bool  # whether `ratn train`, `decode` and `eval` apply
 
 
 TASKS = {
     "copy": Task(tasks.CopyTaskSpec,
                  partial(tasks.gen_copy_splits, gen=tasks.gen_copy_task),
-                 run_sequence_cell, DEFAULT_GAMMA_GRID, True),
+                 run_sequence_cell, DEFAULT_GAMMA_GRID),
     "reverse": Task(tasks.CopyTaskSpec,
                     partial(tasks.gen_copy_splits, gen=tasks.gen_reverse_task),
-                    run_sequence_cell, DEFAULT_GAMMA_GRID, True),
+                    run_sequence_cell, DEFAULT_GAMMA_GRID),
     "toy_translate": Task(tasks.ToyTranslateSpec, tasks.gen_toy_translate,
-                          run_sequence_cell, DEFAULT_GAMMA_GRID, True),
+                          run_sequence_cell, DEFAULT_GAMMA_GRID),
     "window_classify": Task(tasks.WindowClassifySpec, tasks.gen_window_classify,
                             run_classify_cell,
-                            {"window": DEFAULT_GAMMA_GRID["self"]}, False),
+                            {"window": DEFAULT_GAMMA_GRID["self"]}),
 }
 
 
@@ -373,7 +379,8 @@ def provenance(spec: ExperimentSpec) -> dict:
         "seeds": list(spec.seeds),
         "beam": spec.beam,
         "eos_margin": spec.eos_margin,
-        "gamma_grid": spec.gamma_grid or resolve_gamma_grid(spec),
+        "gamma_grid": (resolve_gamma_grid(spec) if spec.gamma_grid is None
+                       else spec.gamma_grid),
         "note": "gamma/lambda selection uses the dev split only; "
                 "test is decoded once per selected setting",
     }
@@ -424,6 +431,8 @@ def resolve_gamma_grid(spec: ExperimentSpec) -> dict[str, list[float]]:
     reports this default too."""
     given = TASKS[spec.task].gamma_grid if spec.gamma_grid is None else spec.gamma_grid
     grid = {site: [float(g) for g in gammas] for site, gammas in given.items()}
+    if not grid:
+        raise ValueError("gamma_grid must name at least one site")
     for site, gammas in grid.items():
         if 0.0 not in gammas:
             raise ValueError(f"gamma grid for site {site!r} must include 0")

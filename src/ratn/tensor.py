@@ -1,11 +1,13 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-Covers exactly the operations the models need. Each operation records its
-inputs and a vector-Jacobian closure on the output node; backward() walks
-the resulting DAG once per call and accumulates into .grad of the leaves
-(tensors with no recorded operation, e.g. parameters), so repeated backward
-calls without a reset add up. Interior nodes keep no .grad. The graph lives
-only as long as the output tensors referencing it.
+Covers exactly the operations the models need; the operator sugar is
+t + x, t * x, -t and t @ u, always with a Tensor on the left. Each operation
+records its inputs and a vector-Jacobian closure on the output node;
+backward() walks the resulting DAG once per call and accumulates into .grad
+of the leaves (tensors with no recorded operation, e.g. parameters), so
+repeated backward calls without a reset add up. Interior nodes keep no
+.grad, and backward drops each one's gradient once it has passed it on. The
+graph lives only as long as the output tensors referencing it.
 The fused sublayer nodes (attention, feed-forward, residual_norm) chain
 the NumPy kernels here, with the generic operations' bits and hand pullbacks.
 """
@@ -74,23 +76,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __neg__(self):
         return neg(self)
@@ -148,43 +135,26 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise arithmetic
 
 
-def add(a, b) -> Tensor:
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
+def add(a: Tensor, b) -> Tensor:
+    if isinstance(b, Tensor):
         out = a.data + b.data
         return _node(out, (a, b), lambda g: (_unbroadcast(g, a.shape),
                                              _unbroadcast(g, b.shape)))
-    if isinstance(a, Tensor):
-        bc = _const(b)
-        return _node(a.data + bc, (a,), lambda g: (_unbroadcast(g, a.shape),))
-    return add(b, a)
-
-
-def sub(a, b) -> Tensor:
-    return add(a, neg(b) if isinstance(b, Tensor) else -_const(b))
+    bc = _const(b)
+    return _node(a.data + bc, (a,), lambda g: (_unbroadcast(g, a.shape),))
 
 
 def neg(a: Tensor) -> Tensor:
     return _node(-a.data, (a,), lambda g: (-g,))
 
 
-def mul(a, b) -> Tensor:
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
+def mul(a: Tensor, b) -> Tensor:
+    if isinstance(b, Tensor):
         return _node(a.data * b.data, (a, b),
                      lambda g: (_unbroadcast(g * b.data, a.shape),
                                 _unbroadcast(g * a.data, b.shape)))
-    if isinstance(a, Tensor):
-        bc = _const(b)
-        return _node(a.data * bc, (a,), lambda g: (_unbroadcast(g * bc, a.shape),))
-    return mul(b, a)
-
-
-def div(a, b) -> Tensor:
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        return _node(a.data / b.data, (a, b),
-                     lambda g: (_unbroadcast(g / b.data, a.shape),
-                                _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
     bc = _const(b)
-    return _node(a.data / bc, (a,), lambda g: (_unbroadcast(g / bc, a.shape),))
+    return _node(a.data * bc, (a,), lambda g: (_unbroadcast(g * bc, a.shape),))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +358,7 @@ def backward(loss: Tensor) -> None:
     topo = _toposort(loss)
     gmap: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = gmap.get(id(node))
+        g = gmap.pop(id(node), None)  # a node's gradient is complete here
         if g is None:
             continue
         if node._vjp is None:

@@ -295,21 +295,20 @@ class Seq2SeqModel(Module):
         y = self._embed(self.emb_dec, arr, phase)
         return self._decode_from_embeddings(h, y, phase)
 
-    def decode_step(self, h: Tensor, prefix) -> np.ndarray:
-        """Eval-phase next-token probability vector given a BOS-started prefix."""
-        arr = np.asarray(prefix, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0 or arr[0] != BOS_ID:
-            raise ValueError("prefix must be a non-empty sequence starting with BOS")
-        return self.decode_probs(h, arr).data[-1]
-
-    def decode_step_batch(self, h: Tensor, prefixes: np.ndarray) -> np.ndarray:
-        """Eval-phase next-token probabilities [B, D] for equal-length
-        prefixes [B, t].
+    def decode_step(self, h: Tensor, prefixes) -> np.ndarray:
+        """Eval-phase next-token probabilities given BOS-started prefixes:
+        [D] for one [t] prefix, [B, D] for equal-length prefixes [B, t].
 
         Reruns the decoder over every full prefix; decode_next is the
         incremental form that search uses.
         """
-        return self.decode_probs(h, prefixes).data[:, -1, :]
+        arr = np.asarray(prefixes, dtype=np.int64)
+        if arr.ndim not in (1, 2) or arr.size == 0 or np.any(arr[..., 0] != BOS_ID):
+            raise ValueError("prefix must be non-empty, [t] or [B, t], and "
+                             "every row must start with BOS")
+        return self.decode_probs(h, arr).data[..., -1, :]
+
+    decode_step_batch = decode_step  # the name perfbench/tracing.py wraps
 
     def new_decoder_state(self) -> DecoderState:
         return DecoderState(len(self.dec_blocks))
@@ -321,8 +320,8 @@ class Seq2SeqModel(Module):
         this call extends by one position; the first call feeds BOS. h
         [R, T, d] is read on the first call only, when it fills the
         cross-attention caches; reorder the state between calls to follow
-        beam parents. Equals decode_step_batch on the full prefixes up to
-        float reassociation.
+        beam parents. Equals decode_step on the full prefixes up to float
+        reassociation.
         """
         arr = np.asarray(tokens, dtype=np.int64)[:, None]
         y = self._embed(self.emb_dec, arr, Phase.EVAL, offset=state.length)

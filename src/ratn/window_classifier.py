@@ -22,8 +22,8 @@ from .transformer import LayerNormParams
 
 @dataclass(frozen=True)
 class WindowClassifierConfig:
-    height: int = 8
-    width: int = 8
+    """Model shape; the grid comes from the input (sides multiples of window)."""
+
     channels: int = 8
     window: int = 4
     n_heads: int = 2
@@ -32,8 +32,6 @@ class WindowClassifierConfig:
     relax: RelaxationConfig = field(default_factory=RelaxationConfig)
 
     def __post_init__(self):
-        if self.height % self.window or self.width % self.window:
-            raise ValueError("grid dims must be divisible by the window side")
         if self.channels % self.n_heads:
             raise ValueError("channels must be divisible by n_heads")
 

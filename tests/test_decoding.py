@@ -135,9 +135,6 @@ class StubModel:
     def decode_step(self, h, prefix):
         return self.tables[len(prefix) - 1]
 
-    def decode_step_batch(self, h, prefixes):
-        return np.stack([self.decode_step(h, p) for p in prefixes])
-
 
 def test_greedy_on_hand_built_two_step_model():
     # vocab: 0=pad, 1=bos, 2=eos, 3, 4
@@ -248,7 +245,7 @@ def _reference_beam_search(model, h, beam, lm, lam, max_len, eos_margin):
     """
     live, finished = [BeamHypothesis([BOS_ID], 0.0)], []
     for _ in range(max_len):
-        probs = model.decode_step_batch(h, np.array([hyp.tokens for hyp in live]))
+        probs = model.decode_step(h, np.array([hyp.tokens for hyp in live]))
         scores = np.log(np.maximum(probs, 1e-300))
         if lm is not None and lam > 0.0:
             scores = scores + lam * np.stack([lm.log_probs(hyp.tokens)
@@ -332,5 +329,5 @@ def test_decode_corpus_ignores_batch_neighbours_and_row_cap(monkeypatch):
 def test_empty_source_batch_decodes_to_nothing():
     model, _, lm = corpus_setup()
     assert decode_corpus(model, np.zeros((0, 4), dtype=np.int64), 4, lm=lm,
-                         lam=0.3) == []
+                         lam=0.3, max_len=6) == []
     assert beam_search_batch(model, Tensor(np.zeros((0, 4, 8))), 4) == []

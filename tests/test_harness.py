@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -281,6 +282,18 @@ def test_spec_rejects_unknown_task_params(task):
         ExperimentSpec(task=task, task_params={"n_trian": 10})
 
 
+@pytest.mark.parametrize("fields,named", [
+    ({"seeds": (0, 1, 0)}, "seeds: [0]"),
+    ({"relax_grid": (RelaxSetting(), RelaxSetting(gamma=0.3))}, "labels: ['baseline']"),
+    ({"relax_grid": (RelaxSetting(site="self", gamma=0.1),
+                     RelaxSetting(site="self", gamma=0.1, sigma2=0.5))},
+     "labels: ['self_g0.1_train_only']"),
+], ids=["seed", "baseline", "label_without_sigma2"])
+def test_spec_rejects_cells_that_would_merge(fields, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ExperimentSpec(task="copy", **fields)
+
+
 def test_experiment_records_failed_cells(tmp_path):
     spec = fast_spec(tmp_path, train={**FAST_TRAIN, "steps": 5},
                      model={**FAST_MODEL, "vocab_size": 6})  # too small vocab
@@ -362,7 +375,7 @@ def test_inference_builds_no_autodiff_graph(tmp_path, monkeypatch):
     model = Seq2SeqModel(ModelConfig(**FAST_MODEL, vocab_size=10, max_len=8))
     sequence_accuracy(model, data.dev.sources, data.dev.targets)
     clf = WindowClassifier(WindowClassifierConfig(
-        height=4, width=4, channels=4, window=2, n_classes=3, n_heads=2))
+        channels=4, window=2, n_classes=3, n_heads=2))
     clf.accuracy(np.zeros((5, 4, 4, 4)), np.zeros(5, dtype=np.int64))
     assert seen == [("encode", False)] * 3 + [("forward", False)]
 
@@ -407,6 +420,11 @@ def test_gamma_sweep_requires_zero_point(tmp_path):
     spec = fast_spec(tmp_path, gamma_grid={"self": [0.01]})
     with pytest.raises(ValueError, match="include 0"):
         gamma_sweep(spec)
+
+
+def test_gamma_sweep_rejects_an_empty_gamma_grid(tmp_path):
+    with pytest.raises(ValueError, match="gamma_grid"):
+        gamma_sweep(fast_spec(tmp_path, gamma_grid={}))
 
 
 # ---------------------------------------------------------------------------

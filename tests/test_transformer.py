@@ -90,6 +90,21 @@ def test_decode_step_validation():
         model.decode_step(h, [BOS_ID] + [3] * 12)  # beyond max_len
 
 
+def test_decode_step_on_a_batch_of_prefixes_matches_each_row():
+    model = tiny_model(seed=2)
+    h = model.encode(np.array([[3, 4, 5], [6, 7, 8], [9, 3, 4]]))
+    y = np.array([[BOS_ID, 4, 5, 6], [BOS_ID, 7, 7, 3], [BOS_ID, 9, 8, 4]])
+    batch = model.decode_step(h, y)
+    assert batch.shape == (3, 10)
+    assert np.array_equal(batch, model.decode_probs(h, y).data[:, -1])
+    for row in range(3):
+        one = model.decode_step(Tensor(h.data[row]), y[row])
+        assert np.abs(batch[row] - one).max() < 1e-12
+    y[1, 0] = 4  # one row that does not start with BOS
+    with pytest.raises(ValueError, match="BOS"):
+        model.decode_step(h, y)
+
+
 def test_causality_future_tokens_do_not_change_past_rows():
     model = tiny_model()
     h = model.encode([3, 4, 5])
@@ -156,7 +171,7 @@ def test_incremental_step_matches_full_recompute(overrides):
             state.reorder(rows)
             y, h = y[rows], Tensor(h.data[rows])
         step = model.decode_next(h, y[:, length - 1], state)
-        full = model.decode_step_batch(h, y[:, :length])
+        full = model.decode_step(h, y[:, :length])
         assert np.abs(step - full).max() < 1e-10
     assert state.length == y.shape[1]
 

@@ -13,8 +13,7 @@ from ratn.window_classifier import (WindowClassifier, WindowClassifierConfig,
 SPEC = WindowClassifySpec(height=4, width=4, channels=8, window=2, n_classes=3,
                           n_train=256, n_dev=48, n_test=96, data_seed=5,
                           pattern_scale=1.5)
-CFG = WindowClassifierConfig(height=4, width=4, channels=8, window=2,
-                             n_heads=2, n_classes=3)
+CFG = WindowClassifierConfig(channels=8, window=2, n_heads=2, n_classes=3)
 
 
 def test_forward_is_a_distribution():
