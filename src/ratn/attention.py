@@ -220,8 +220,8 @@ class KvCache:
     attends over all positions so far; a static cache (cross attention over
     a fixed encoder output) projects its keys/values on the first call and
     reuses them after. Arrays are [rows, n_heads, L, d/n_heads]; reorder()
-    gathers rows, e.g. by beam parent. Inference only: gradients do not flow
-    through cached projections.
+    gathers rows, e.g. by beam parent. Inference only: a cached
+    multi_head_attention call builds no autodiff node.
     """
 
     def __init__(self, static: bool = False):
@@ -268,10 +268,11 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
     variant's position-bias Tensor. q/kv may carry leading batch axes. One
     relaxation coefficient per call, shared by every head and batch element;
     fuzzy draws come from gamma_rng only, so they never perturb the dropout
-    stream rng. gamma_out collects an active site's coefficient; with a
-    cache, keys and values come from, and go into, a decoding KvCache. The
+    stream rng. gamma_out collects an active site's coefficient. The
     sublayer is one node: q, kv, the projections and a Tensor bias are its
-    parents (with a cache, kv, W_k and W_v are not).
+    parents. With a cache, keys and values come from, and go into, a
+    decoding KvCache, and the call is forward-only: its result has no
+    parents, whether taping is on or not.
     """
     d, n_heads = params.d_model, params.n_heads
     if q.shape[-1] != d or kv.shape[-1] != d:
@@ -297,8 +298,9 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
     if keep is not None:
         a = a * keep
     heads = _merge_heads(a @ vh)
-    parents = ((q, kv, *params.tensors().values()) if cache is None
-               else (q, params.w_q, params.w_o))
+    if cache is not None:
+        return Tensor(heads @ w_o)
+    parents = (q, kv, *params.tensors().values())
     if isinstance(bias, Tensor):
         parents += (bias,)
 
@@ -315,14 +317,11 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
         gs = gl * scale
         gq, g_wq = _linear_vjp(q.data, w_q,
                                _merge_heads(_unbroadcast(gs @ kh, qh.shape)))
-        if cache is None:
-            gk = _unbroadcast(np.swapaxes(gs, -1, -2) @ qh, kh.shape)
-            gv = _unbroadcast(np.swapaxes(a, -1, -2) @ go, vh.shape)
-            gkv_k, g_wk = _linear_vjp(kv.data, w_k, _merge_heads(gk))
-            gkv_v, g_wv = _linear_vjp(kv.data, w_v, _merge_heads(gv))
-            grads = [gq, gkv_k + gkv_v, g_wq, g_wk, g_wv, g_wo]
-        else:
-            grads = [gq, g_wq, g_wo]
+        gk = _unbroadcast(np.swapaxes(gs, -1, -2) @ qh, kh.shape)
+        gv = _unbroadcast(np.swapaxes(a, -1, -2) @ go, vh.shape)
+        gkv_k, g_wk = _linear_vjp(kv.data, w_k, _merge_heads(gk))
+        gkv_v, g_wv = _linear_vjp(kv.data, w_v, _merge_heads(gv))
+        grads = [gq, gkv_k + gkv_v, g_wq, g_wk, g_wv, g_wo]
         if isinstance(bias, Tensor):
             grads.append(_unbroadcast(gl, bias.shape))
         return grads

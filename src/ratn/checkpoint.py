@@ -91,6 +91,8 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack("<Q", _read_exact(f, 8))
             name = _read_exact(f, name_len).decode("utf-8")
+            if name in out:
+                raise CheckpointError(f"tensor {name!r} is listed twice")
             (ndim,) = struct.unpack("<Q", _read_exact(f, 8))
             dims = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim))
             raw = _read_exact(f, 8 * math.prod(dims))

@@ -118,6 +118,9 @@ def cmd_eval(args) -> int:
     refs = [list(map(int, t)) for t in corpus.targets]
     with open(args.hyps) as f:
         hyps = [json.loads(line)["tokens"] for line in f]
+    if len(hyps) != len(refs):
+        raise SystemExit(f"--hyps has {len(hyps)} hypotheses but the "
+                         f"{args.split} split has {len(refs)} sentences")
     # argparse admits only the two metric names
     value = (wer if args.metric == "wer" else corpus_bleu)(refs, hyps)
     report = {"metric": args.metric, "value": value, "n_utterances": len(hyps),

@@ -427,8 +427,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1,
 
 def resolve_gamma_grid(spec: ExperimentSpec) -> dict[str, list[float]]:
     """Sweep grid per site; defaults to the task's row of TASKS, and every
-    site's grid must include gamma = 0 (the baseline point). provenance
-    reports this default too."""
+    site's grid must include gamma = 0 (the baseline point). Distinct gammas
+    of a site must stay distinct under :g, the format of the setting label
+    and the CSV. provenance reports this default too."""
     given = TASKS[spec.task].gamma_grid if spec.gamma_grid is None else spec.gamma_grid
     grid = {site: [float(g) for g in gammas] for site, gammas in given.items()}
     if not grid:
@@ -436,6 +437,9 @@ def resolve_gamma_grid(spec: ExperimentSpec) -> dict[str, list[float]]:
     for site, gammas in grid.items():
         if 0.0 not in gammas:
             raise ValueError(f"gamma grid for site {site!r} must include 0")
+        if len({f"{g:g}" for g in set(gammas)}) < len(set(gammas)):
+            raise ValueError(f"gamma_grid for site {site!r} has distinct gammas "
+                             f"that print alike: {sorted(set(gammas))}")
     return grid
 
 

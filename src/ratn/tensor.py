@@ -266,15 +266,10 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 
 def _row_max(x: np.ndarray) -> np.ndarray:
     """x.max(axis=-1, keepdims=True) up to the sign of a zero maximum, which
-    x - max cannot see. A column-wise np.maximum is faster on <= 32 keys and
-    >= 32 rows per key (attention logits), max(-1) on the rest (CHANGES.md)."""
-    n = x.shape[-1]
-    if n > 32 or x.size < 32 * n * n:
-        return x.max(axis=-1, keepdims=True)
-    m = x[..., 0]
-    for j in range(1, n):
-        m = np.maximum(m, x[..., j])
-    return m[..., None]
+    x - max cannot see. Reducing over the leading axis of a contiguous copy
+    with the keys first is at least as fast on the training, window and
+    vocabulary shapes as max(-1) (CHANGES.md)."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0)).max(axis=0)[..., None]
 
 
 def _softmax(x: np.ndarray):

@@ -28,7 +28,6 @@ class WindowClassifierConfig:
     window: int = 4
     n_heads: int = 2
     n_classes: int = 4
-    dropout_attention: float = 0.0
     relax: RelaxationConfig = field(default_factory=RelaxationConfig)
 
     def __post_init__(self):
@@ -40,7 +39,6 @@ class WindowClassifier(Module):
     def __init__(self, config: WindowClassifierConfig, seed: int = 0):
         self.config = config
         init = RngStream(seed, "init")
-        self._rng_dropout = RngStream(seed, "dropout")
         self._rng_gamma = RngStream(seed, "fuzzy-gamma")
         c = config.channels
         self.attn = WindowAttnParams.init(c, config.n_heads, config.window, init)
@@ -63,9 +61,7 @@ class WindowClassifier(Module):
         cfg = self.config
         t = x if isinstance(x, Tensor) else Tensor(x)
         self.last_gammas["window"] = []
-        a = windowed_mha(t, self.attn, relax=cfg.relax,
-                         dropout_p=cfg.dropout_attention,
-                         rng=self._rng_dropout, phase=phase,
+        a = windowed_mha(t, self.attn, relax=cfg.relax, phase=phase,
                          gamma_rng=self._rng_gamma,
                          gamma_out=self.last_gammas["window"])
         pooled = self.ln(t, a).mean(axis=(-3, -2))

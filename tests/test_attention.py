@@ -382,28 +382,31 @@ def test_windowed_attention_gradients_match_finite_differences(gamma, phase):
         assert rel_err(leaf.grad, fd_grad(loss, leaf)) < 1e-7, name
 
 
-def test_cached_attention_gradients_match_finite_differences():
-    # With a static KvCache the node's parents are q, W_q and W_o; keys and
-    # values come from the cache, filled by the first call.
+def test_cached_attention_call_is_forward_only():
+    # Taping on and every parameter requiring grad: a cached call still
+    # builds no node, and its values equal the uncached call's on the same
+    # prefix: bit for bit through a static cache, and up to rounding through
+    # a self-attention cache, which projects one position per step.
     d, rng = 8, RngStream(57, "t")
     params = MhaParams.init(d, 2, RngStream(58, "init"))
-    q = Tensor(rng.normal((3, 1, d)), requires_grad=True)
-    h = Tensor(rng.normal((3, 5, d)))
-    probe = rng.normal((3, 1, d))
-    cache = KvCache(static=True)
+    x = rng.normal((3, 5, d))
+    h = Tensor(rng.normal((3, 5, d)), requires_grad=True)
     relax = RelaxationConfig(gamma0=0.3, mode="matched")
-
-    def loss():
-        return (multi_head_attention(q, h, params, relax, cache=cache)
-                * probe).sum()
-
-    leaves = [q, params.w_q, params.w_o]
-    for leaf in leaves:
-        leaf.grad = None
-    backward(loss())
-    for name, leaf in zip(["q", "w_q", "w_o"], leaves):
-        assert rel_err(leaf.grad, fd_grad(loss, leaf)) < 1e-7, name
-    assert params.w_k.grad is None and params.w_v.grad is None
+    static, self_cache = KvCache(static=True), KvCache()
+    for t in range(5):
+        q = x[:, t:t + 1]
+        cross = multi_head_attention(Tensor(q, requires_grad=True), h, params,
+                                     relax, cache=static)
+        step = multi_head_attention(Tensor(q, requires_grad=True), Tensor(q),
+                                    params, relax, cache=self_cache)
+        for out in (cross, step):
+            assert out._parents == () and out._vjp is None
+            assert not out.requires_grad
+        plain = multi_head_attention(Tensor(q), h, params, relax)
+        assert np.array_equal(cross.data, plain.data)
+        prefix = multi_head_attention(Tensor(q), Tensor(x[:, :t + 1]),
+                                      params, relax)
+        assert np.abs(step.data - prefix.data).max() < 1e-14
 
 
 def _generic_heads(t: Tensor, n_heads: int) -> Tensor:

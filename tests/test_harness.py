@@ -201,6 +201,20 @@ def test_checkpoint_corrupt_lengths_raise_without_allocating(tmp_path, header):
     assert peak < 2 ** 20
 
 
+def test_checkpoint_listing_a_tensor_twice_raises_naming_it(tmp_path):
+    model = Seq2SeqModel(ModelConfig(**FAST_MODEL, vocab_size=10, max_len=8))
+    path = tmp_path / "m.ratn"
+    save_model(model, path)
+    blob = bytearray(path.read_bytes())
+    (count,) = struct.unpack("<Q", blob[8:16])
+    blob[8:16] = struct.pack("<Q", count + 1)  # a second out_b, all 7.0
+    blob += (struct.pack("<Q", 5) + b"out_b" + struct.pack("<2Q", 1, 10)
+             + np.full(10, 7.0).astype("<f8").tobytes())
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="'out_b' is listed twice"):
+        load_model(path)
+
+
 def test_write_tensors_failure_keeps_old_checkpoint(tmp_path):
     path = tmp_path / "m.ratn"
     write_tensors(path, {"a": np.arange(3.0)})
@@ -422,6 +436,16 @@ def test_gamma_sweep_requires_zero_point(tmp_path):
         gamma_sweep(spec)
 
 
+def test_gamma_sweep_rejects_distinct_gammas_that_print_alike(tmp_path):
+    spec = fast_spec(tmp_path, gamma_grid={"self": [0.0, 0.0001, 0.00010000001]})
+    with pytest.raises(ValueError, match="gamma_grid for site 'self'"):
+        gamma_sweep(spec)
+    # an exact repeat is one cell
+    csv_path = gamma_sweep(fast_spec(tmp_path, gamma_grid={"self": [0.0, 0.01,
+                                                                    0.01]}))
+    assert len(csv_path.read_text().strip().splitlines()) == 3
+
+
 def test_gamma_sweep_rejects_an_empty_gamma_grid(tmp_path):
     with pytest.raises(ValueError, match="gamma_grid"):
         gamma_sweep(fast_spec(tmp_path, gamma_grid={}))
@@ -525,6 +549,19 @@ def test_cli_train_decode_eval_roundtrip(tmp_path, capsys):
     assert report["metric"] == "wer"
     assert report["n_utterances"] == FAST_COPY["n_test"]
     assert "config_hash" in report
+
+
+def test_cli_eval_rejects_a_hyps_file_of_the_wrong_length(tmp_path):
+    spec_path = _write_spec(tmp_path)
+    hyps = tmp_path / "hyps.jsonl"
+    hyps.write_text(json.dumps({"tokens": [3, 4]}) + "\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=rf"--hyps has 1 hypotheses but the "
+                                         rf"test split has {FAST_COPY['n_test']} "
+                                         rf"sentences"):
+        cli_main(["eval", "--spec", str(spec_path), "--hyps", str(hyps),
+                  "--split", "test", "--output-dir", str(out)])
+    assert not list(out.glob("eval.*.json"))
 
 
 def test_cli_experiment_and_reports(tmp_path, capsys):

@@ -349,7 +349,8 @@ def test_dropout_multiplier_equals_the_two_pass_form_bit_for_bit(p):
 
 @pytest.mark.parametrize("shape", [(3, 4), (32, 4, 10, 9), (600, 2),
                                    (2, 4, 2, 16, 16), (8, 4, 2, 16, 16),
-                                   (32, 9, 35), (2048, 48)])
+                                   (32, 9, 35), (2048, 48), (6, 1, 35),
+                                   (50, 4, 1, 1), (200, 4, 1, 9), (1, 2048)])
 def test_row_max_and_softmax_equal_the_numpy_max_forms(shape):
     # Equal values; a zero maximum may differ in sign, which the shifted
     # exp cannot see, so the softmax is equal byte for byte.
@@ -369,3 +370,12 @@ def test_row_max_and_softmax_equal_the_numpy_max_forms(shape):
     x.reshape(-1)[1::19] = np.nan
     assert np.array_equal(_row_max(x), x.max(axis=-1, keepdims=True),
                           equal_nan=True)
+
+
+def test_softmax_of_rows_whose_maximum_is_a_signed_zero_equals_the_max_form():
+    x = np.array([[-0.0, 0.0, -1.5, -3.0], [0.0, -0.0, -0.25, -7.0],
+                  [-0.0, -2.0, 0.0, -0.0], [-1.0, -0.0, -0.0, -4.0]])
+    plain = np.exp(x - x.max(axis=-1, keepdims=True))
+    plain = plain / plain.sum(axis=-1, keepdims=True)
+    assert np.array_equal(_row_max(x), x.max(axis=-1, keepdims=True))
+    assert _softmax(x)[0].tobytes() == plain.tobytes()
