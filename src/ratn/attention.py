@@ -85,7 +85,7 @@ def sample_fuzzy_gamma(cfg: RelaxationConfig | None, rng: RngStream | None,
     if cfg.fuzzy:
         if rng is None:
             raise ValueError("fuzzy relaxation needs an RngStream in training")
-        draw = float(rng.normal(mean=cfg.gamma0, std=math.sqrt(cfg.sigma2)))
+        draw = rng.normal(mean=cfg.gamma0, std=math.sqrt(cfg.sigma2))
         return min(1.0, max(0.0, draw))
     return cfg.gamma0
 
@@ -403,11 +403,10 @@ def window_merge(x: Tensor, m: int, h: int, w: int) -> Tensor:
 
 def windowed_mha(x: Tensor, params: WindowAttnParams,
                  relax: RelaxationConfig | None = None,
-                 dropout_p: float = 0.0, rng: RngStream | None = None,
                  phase: Phase = Phase.EVAL, *,
                  gamma_rng: RngStream | None = None,
                  gamma_out: list | None = None) -> Tensor:
-    """Self-attention within non-overlapping m x m windows.
+    """Self-attention within non-overlapping m x m windows, without dropout.
 
     Logits get the relative position bias added before normalization and are
     scaled by 1/sqrt(c/4); relaxation blends toward uniform over the fixed
@@ -417,8 +416,7 @@ def windowed_mha(x: Tensor, params: WindowAttnParams,
     m = params.window
     windows = window_partition(x, m)
     out = multi_head_attention(
-        windows, windows, params.mha,
-        relax=relax, dropout_p=dropout_p, rng=rng, phase=phase,
+        windows, windows, params.mha, relax=relax, phase=phase,
         gamma_rng=gamma_rng, bias=position_bias(params),
         scale=1.0 / math.sqrt(c / 4.0), gamma_out=gamma_out)
     return window_merge(out, m, h, w)

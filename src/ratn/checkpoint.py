@@ -90,7 +90,10 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<Q", _read_exact(f, 8))
-            name = _read_exact(f, name_len).decode("utf-8")
+            try:
+                name = _read_exact(f, name_len).decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise CheckpointError(f"a tensor name is not UTF-8: {err}") from None
             if name in out:
                 raise CheckpointError(f"tensor {name!r} is listed twice")
             (ndim,) = struct.unpack("<Q", _read_exact(f, 8))

@@ -44,7 +44,7 @@ def _load_spec(args) -> ExperimentSpec:
     if (args.command in SEQ2SEQ_COMMANDS
             and TASKS[spec.task].run_cell is not run_sequence_cell):
         raise SystemExit(f"use `ratn experiment` for the {spec.task} task")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         spec = dataclasses.replace(spec, seeds=(args.seed,))
     return spec
 
@@ -117,7 +117,10 @@ def cmd_eval(args) -> int:
     corpus = getattr(data, args.split)
     refs = [list(map(int, t)) for t in corpus.targets]
     with open(args.hyps) as f:
-        hyps = [json.loads(line)["tokens"] for line in f]
+        try:
+            hyps = [json.loads(line)["tokens"] for line in f]
+        except (ValueError, KeyError, TypeError) as err:  # not JSON, no tokens
+            raise SystemExit(f"--hyps lines must be JSON objects with tokens: {err!r}")
     if len(hyps) != len(refs):
         raise SystemExit(f"--hyps has {len(hyps)} hypotheses but the "
                          f"{args.split} split has {len(refs)} sentences")
@@ -164,12 +167,11 @@ def main(argv=None) -> int:
                     "on synthetic tasks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True, workers=False):
+    def add_common(p, workers=False):
         p.add_argument("--spec", required=True, help="experiment spec (JSON)")
         p.add_argument("--output-dir", default=None)
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the spec's seed list")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the spec's seed list")
         if workers:
             p.add_argument("--workers", type=int, default=1)
 

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tasks
-from .attention import MODE_TRAIN_ONLY, RelaxationConfig, _MODES
+from .attention import MODE_TRAIN_ONLY, RelaxationConfig
 from .checkpoint import write_atomic
 from .decoding import BigramLm, bigram_lm_train, decode_corpus
 from .metrics import wer
@@ -61,7 +61,8 @@ DEFAULT_FUZZY_SIGMA2 = 0.03 ** 2
 
 @dataclass(frozen=True)
 class RelaxSetting:
-    """One point of the relaxation grid: where and how much to relax."""
+    """One point of the relaxation grid; fuzzy fills in a None gamma and a 0.0
+    sigma2. Construction runs RelaxationConfig's checks, the baseline's too."""
 
     site: str = "none"  # none | self | cross | window
     gamma: float | None = None  # None: DEFAULT_FUZZY_GAMMA0 if fuzzy, else 0
@@ -72,19 +73,18 @@ class RelaxSetting:
     def __post_init__(self):
         if self.site not in ("none", "self", "cross", "window"):
             raise ValueError(f"unknown relaxation site {self.site!r}")
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown relaxation mode {self.mode!r}")
         if self.gamma is None:
             object.__setattr__(self, "gamma",
                                DEFAULT_FUZZY_GAMMA0 if self.fuzzy else 0.0)
-        if self.fuzzy and self.sigma2 <= 0.0:
+        if self.fuzzy and self.sigma2 == 0.0:
             object.__setattr__(self, "sigma2", DEFAULT_FUZZY_SIGMA2)
+        self._config()
+
+    def _config(self) -> RelaxationConfig:
+        return RelaxationConfig(self.gamma, self.sigma2, self.mode, self.fuzzy)
 
     def relaxation(self) -> RelaxationConfig:
-        if self.site == "none":
-            return RelaxationConfig()
-        return RelaxationConfig(gamma0=self.gamma, sigma2=self.sigma2,
-                                mode=self.mode, fuzzy=self.fuzzy)
+        return RelaxationConfig() if self.site == "none" else self._config()
 
     @property
     def label(self) -> str:
@@ -105,6 +105,8 @@ class LmSpec:
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
 
     def __post_init__(self):
+        for name in ("corpora", "lambda_grid"):  # a spec file gives lists
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.corpora:
             raise ValueError("lm.corpora must be non-empty")
         for c in self.corpora:
@@ -112,20 +114,10 @@ class LmSpec:
                 raise ValueError(f"unknown lm corpus {c!r}")
         if not self.lambda_grid:
             raise ValueError("lm.lambda_grid must be non-empty")
+        if self.k <= 0:
+            raise ValueError(f"lm.k must be > 0, got {self.k}")
         if any(l < 0 for l in self.lambda_grid):
             raise ValueError("fusion weights must be >= 0")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LmSpec":
-        d = dict(d)
-        corpus = d.pop("corpus", None)
-        if corpus is not None:
-            d["corpora"] = [corpus] if isinstance(corpus, str) else corpus
-        if "corpora" in d:
-            d["corpora"] = tuple(d["corpora"])
-        if "lambda_grid" in d:
-            d["lambda_grid"] = tuple(d["lambda_grid"])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -156,19 +148,22 @@ class ExperimentSpec:
                 raise ValueError(f"repeated {name}s: {repeated}")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
-        try:
-            TASKS[self.task].params(**self.task_params)
-        except TypeError as err:  # an unknown key
-            raise ValueError(f"bad task_params for {self.task!r}: {err}") from None
+        for name, build in (("task_params", TASKS[self.task].params),
+                            ("train", TrainConfig)):
+            try:
+                build(**getattr(self, name))
+            except TypeError as err:  # an unknown key
+                raise ValueError(f"bad {name} for {self.task!r}: {err}") from None
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         d = dict(d)
-        d["seeds"] = tuple(d.get("seeds", (0,)))
-        d["relax_grid"] = tuple(RelaxSetting(**s) for s in d.get("relax_grid",
-                                                                 ({"site": "none"},)))
+        if "seeds" in d:
+            d["seeds"] = tuple(d["seeds"])
+        if "relax_grid" in d:
+            d["relax_grid"] = tuple(RelaxSetting(**s) for s in d["relax_grid"])
         if d.get("lm") is not None:
-            d["lm"] = LmSpec.from_dict(d["lm"])
+            d["lm"] = LmSpec(**d["lm"])
         return cls(**d)
 
     @classmethod
@@ -176,18 +171,11 @@ class ExperimentSpec:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, np.ndarray):
+def _numpy_to_python(x):
+    """json.dumps' default=: a NumPy scalar or array as Python values."""
+    if isinstance(x, (np.generic, np.ndarray)):
         return x.tolist()
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +356,7 @@ def _row_sort_key(row: dict):
 
 def provenance(spec: ExperimentSpec) -> dict:
     """The spec with every default materialized, for the results header."""
-    out = {
+    return {
         "type": "spec",
         "task": spec.task,
         "task_params": dataclasses.asdict(TASKS[spec.task].params(**spec.task_params)),
@@ -384,7 +372,6 @@ def provenance(spec: ExperimentSpec) -> dict:
         "note": "gamma/lambda selection uses the dev split only; "
                 "test is decoded once per selected setting",
     }
-    return _jsonable(out)
 
 
 def summarize(rows: list[dict]) -> dict:
@@ -412,12 +399,12 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1,
     shards = _run_cells(spec, workers)
     rows = sorted((r for _, shard in shards for r in shard), key=_row_sort_key)
     results_path = out_dir / "results.jsonl"
-    write_atomic(results_path, "".join(json.dumps(_jsonable(r), sort_keys=True) + "\n"
+    dumps = partial(json.dumps, sort_keys=True, default=_numpy_to_python)
+    write_atomic(results_path, "".join(dumps(r) + "\n"
                                        for r in [provenance(spec), *rows]))
     summary_path = out_dir / "summary.json"
     summary = {"spec": provenance(spec), **summarize(rows)}
-    write_atomic(summary_path, json.dumps(_jsonable(summary), sort_keys=True,
-                                          indent=1))
+    write_atomic(summary_path, dumps(summary, indent=1))
     return {"results": results_path, "summary": summary_path}
 
 

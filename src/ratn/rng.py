@@ -24,7 +24,8 @@ class RngStream:
     """A deterministic random stream identified by (seed, stream_id).
 
     Identical (seed, stream_id, draw-index) gives identical values across runs
-    and platforms. Distinct stream_ids are independent streams.
+    and platforms. Distinct stream_ids are independent streams. A draw with
+    shape None, the default, is one NumPy scalar.
     """
 
     def __init__(self, seed: int, stream_id: str):
@@ -38,13 +39,15 @@ class RngStream:
         """Derive an independent stream, e.g. stream.child("enc0")."""
         return RngStream(self.seed, f"{self.stream_id}/{label}")
 
-    def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+    def normal(self, shape=None, mean: float = 0.0,
+               std: float = 1.0) -> np.ndarray | float:
         return self._gen.normal(mean, std, size=shape)
 
-    def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
+    def uniform(self, shape=None, low: float = 0.0,
+                high: float = 1.0) -> np.ndarray | float:
         return self._gen.uniform(low, high, size=shape)
 
-    def integers(self, low: int, high: int, shape=()) -> np.ndarray:
+    def integers(self, low: int, high: int, shape=None) -> np.ndarray | np.int64:
         return self._gen.integers(low, high, size=shape)
 
     def bernoulli_mask(self, shape, keep_prob: float) -> np.ndarray:

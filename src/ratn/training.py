@@ -45,6 +45,9 @@ class TrainConfig:
                              f"got {self.label_smoothing}")
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if min(self.steps, self.batch_size) < 1:
+            raise ValueError(f"steps and batch_size must be >= 1, got "
+                             f"{self.steps} and {self.batch_size}")
 
 
 def label_smoothed_nll(p: Tensor, targets, alpha: float) -> Tensor:

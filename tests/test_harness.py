@@ -1,6 +1,7 @@
 """Task generators, checkpoint format, experiment runner, CLI."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -10,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ratn.attention import Phase
+from ratn.attention import Phase, RelaxationConfig, sample_fuzzy_gamma
 from ratn.checkpoint import (CheckpointError, load_model, read_tensors,
                              save_model, write_tensors)
 from ratn.cli import main as cli_main
@@ -118,6 +119,28 @@ def test_toy_translate_rate_validation():
         ToyTranslateSpec(ambiguity_rate=0.5)
 
 
+def test_task_data_and_fuzzy_draws_match_their_golden_digest():
+    # Every split and LM text of the four tasks at default parameters, then
+    # 1,000 fuzzy-gamma draws. A change that moves any data or fuzzy draw
+    # changes the digest.
+    digest = hashlib.sha256()
+    for task in ("copy", "reverse", "toy_translate", "window_classify"):
+        data = build_task_data(task, {})
+        named = {f"{split}.{k}": v for split in ("train", "dev", "test")
+                 for k, v in vars(getattr(data, split)).items()}
+        named.update({f"text.{k}": v for k, v in getattr(data, "text", {}).items()})
+        for name, arr in sorted(named.items()):
+            digest.update(f"{task}/{name}{arr.shape}{arr.dtype}".encode())
+            digest.update(np.ascontiguousarray(arr).tobytes())
+    cfg = RelaxationConfig(gamma0=0.1, sigma2=0.03 ** 2, mode="train_only",
+                           fuzzy=True)
+    rng = RngStream(0, "gamma")
+    digest.update(np.array([sample_fuzzy_gamma(cfg, rng, Phase.TRAIN)
+                            for _ in range(1000)]).tobytes())
+    assert digest.hexdigest() == (
+        "f1f2addc70cb9794c013ac276bd1e920a9398be6452e4583fd461d94285c0da4")
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -199,6 +222,14 @@ def test_checkpoint_corrupt_lengths_raise_without_allocating(tmp_path, header):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_checkpoint_tensor_name_that_is_not_utf8_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "name.ratn"
+    path.write_bytes(_ONE_TENSOR + struct.pack("<Q", 2) + b"\xff\xfe"
+                     + struct.pack("<2Q", 1, 1) + b"\x00" * 8)
+    with pytest.raises(CheckpointError, match="not UTF-8"):
+        read_tensors(path)
 
 
 def test_checkpoint_listing_a_tensor_twice_raises_naming_it(tmp_path):
@@ -306,6 +337,44 @@ def test_spec_rejects_unknown_task_params(task):
 def test_spec_rejects_cells_that_would_merge(fields, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         ExperimentSpec(task="copy", **fields)
+
+
+def test_spec_rejects_unknown_train_keys():
+    with pytest.raises(ValueError, match="bad train for 'copy': .*'stpes'"):
+        ExperimentSpec.from_dict({"task": "copy", "train": {"stpes": 3}})
+
+
+@pytest.mark.parametrize("train", [{"steps": 0}, {"batch_size": 0}])
+def test_spec_rejects_fewer_than_one_step_or_example(train):
+    with pytest.raises(ValueError, match="steps and batch_size must be >= 1"):
+        ExperimentSpec(task="copy", train=train)
+
+
+@pytest.mark.parametrize("k", [0.0, -0.5])
+def test_lm_spec_rejects_a_smoothing_constant_that_is_not_positive(k):
+    with pytest.raises(ValueError, match=f"lm.k must be > 0, got {k}"):
+        LmSpec(k=k)
+
+
+def test_lm_spec_accepts_only_the_corpora_key():
+    with pytest.raises(TypeError, match="unexpected keyword argument 'corpus'"):
+        ExperimentSpec.from_dict({"task": "copy", "lm": {"corpus": "in_domain"}})
+
+
+def test_experiment_writes_numpy_values_as_their_python_values(tmp_path,
+                                                                monkeypatch):
+    import ratn.experiment as exp
+    row = {"type": "result", "setting": "baseline", "split": "test",
+           "lm": "none", "lambda": 0.0, "metric": "wer"}
+    written = {}
+    # np.float32: np.float64 is a Python float, which json writes itself
+    for kind, seed, value in (("numpy", np.int64(0), np.float32(0.25)),
+                              ("python", 0, 0.25)):
+        monkeypatch.setattr(exp, "run_cell", lambda *args, seed=seed, value=value:
+                            [{**row, "seed": seed, "value": value}])
+        paths = run_experiment(fast_spec(tmp_path), output_dir=tmp_path / kind)
+        written[kind] = [paths[k].read_bytes() for k in ("results", "summary")]
+    assert written["numpy"] == written["python"]
 
 
 def test_experiment_records_failed_cells(tmp_path):
@@ -446,6 +515,16 @@ def test_gamma_sweep_rejects_distinct_gammas_that_print_alike(tmp_path):
     assert len(csv_path.read_text().strip().splitlines()) == 3
 
 
+def test_gamma_sweep_rejects_a_gamma_above_one_before_any_cell_runs(
+        tmp_path, monkeypatch):
+    import ratn.experiment as exp
+    monkeypatch.setattr(exp, "train", _never)
+    spec = fast_spec(tmp_path, gamma_grid={"cross": [0.0, 1.5]})
+    with pytest.raises(ValueError, match=re.escape("gamma0 must be in [0, 1], "
+                                                   "got 1.5")):
+        gamma_sweep(spec)
+
+
 def test_gamma_sweep_rejects_an_empty_gamma_grid(tmp_path):
     with pytest.raises(ValueError, match="gamma_grid"):
         gamma_sweep(fast_spec(tmp_path, gamma_grid={}))
@@ -564,6 +643,20 @@ def test_cli_eval_rejects_a_hyps_file_of_the_wrong_length(tmp_path):
     assert not list(out.glob("eval.*.json"))
 
 
+@pytest.mark.parametrize("line", ['{"toks": [2]}', "not json", "[2]"],
+                         ids=["no_tokens", "not_json", "not_an_object"])
+def test_cli_eval_rejects_a_malformed_hyps_line(tmp_path, line):
+    spec_path = _write_spec(tmp_path)
+    hyps = tmp_path / "hyps.jsonl"
+    hyps.write_text(json.dumps({"tokens": [3, 4]}) + "\n" + line + "\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="--hyps lines must be JSON objects "
+                                         "with tokens"):
+        cli_main(["eval", "--spec", str(spec_path), "--hyps", str(hyps),
+                  "--split", "test", "--output-dir", str(out)])
+    assert not list(out.glob("eval.*.json"))
+
+
 def test_cli_experiment_and_reports(tmp_path, capsys):
     spec_path = _write_spec(tmp_path, lm={"corpora": ["in_domain"],
                                           "lambda_grid": [0.0, 0.1]})
@@ -663,14 +756,6 @@ def test_cli_rejects_workers_below_one(tmp_path, monkeypatch, command, workers):
                   "--workers", str(workers)])
 
 
-def test_cli_lm_corpus_accepts_single_string(tmp_path):
-    # "corpus" (singular) is normalized into the corpora list
-    spec_path = _write_spec(tmp_path, lm={"corpus": "in_domain",
-                                          "lambda_grid": [0.1]})
-    spec = ExperimentSpec.load(spec_path)
-    assert spec.lm.corpora == ("in_domain",)
-
-
 # ---------------------------------------------------------------------------
 # documented defaults
 
@@ -702,6 +787,22 @@ def test_fuzzy_setting_fills_default_variance():
     setting = RelaxSetting(site="window", gamma=0.1, fuzzy=True, mode="matched")
     assert setting.sigma2 == 0.03 ** 2
     assert setting.relaxation().fuzzy
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"site": "self", "fuzzy": True, "sigma2": -0.5}, "sigma2 must be >= 0, got -0.5"),
+    ({"site": "cross", "gamma": 1.5}, "gamma0 must be in [0, 1], got 1.5"),
+    ({"mode": "sometimes"}, "mode must be one of"),
+], ids=["negative_fuzzy_sigma2", "gamma_above_one", "baseline_bad_mode"])
+def test_relax_setting_rejects_an_invalid_setting_at_construction(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RelaxSetting(**fields)
+
+
+def test_fuzzy_setting_replaces_only_a_zero_variance():
+    from ratn.experiment import DEFAULT_FUZZY_SIGMA2
+    assert RelaxSetting(site="self", fuzzy=True, sigma2=0.0).sigma2 == DEFAULT_FUZZY_SIGMA2
+    assert RelaxSetting(site="self", fuzzy=True, sigma2=0.5).sigma2 == 0.5
 
 
 def test_cli_decode_lambda_default_is_speech_recipe(tmp_path):

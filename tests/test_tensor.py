@@ -316,6 +316,17 @@ def test_rng_child_streams_differ():
                               base.child("dev").normal((4,)))
 
 
+@pytest.mark.parametrize("draw", [
+    lambda rng, **shape: rng.uniform(**shape),
+    lambda rng, **shape: rng.normal(**shape),
+    lambda rng, **shape: rng.integers(3, 10 ** 6, **shape),
+], ids=["uniform", "normal", "integers"])
+def test_rng_draw_without_a_shape_is_the_first_element_of_a_shape_one_draw(draw):
+    scalar = draw(RngStream(5, "s"))
+    assert not isinstance(scalar, np.ndarray) and np.ndim(scalar) == 0
+    assert scalar == draw(RngStream(5, "s"), shape=(1,))[0]
+
+
 # ---------------------------------------------------------------------------
 # exact kernels: each must give the bits of the plain NumPy form it replaces
 
