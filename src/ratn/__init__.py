@@ -1,15 +1,14 @@
 """ratn: a desk-scale transformer library built around relaxed attention.
 
 Uniform smoothing of attention weights (with matched-inference and fuzzy
-variants), smoothed focus, windowed attention with relative position bias,
-beam search with shallow LM fusion, and a seeded experiment harness --
-all on a small float64 autodiff core.
+variants), windowed attention with relative position bias, beam search
+with shallow LM fusion, and a seeded experiment harness -- all on a small
+float64 autodiff core.
 """
 
 from .attention import (MODE_MATCHED, MODE_OFF, MODE_TRAIN_ONLY, MhaParams,
                         Phase, RelaxationConfig, WindowAttnParams, dropout,
-                        multi_head_attention, relax_weights,
-                        smoothed_focus_weights, windowed_mha)
+                        multi_head_attention, relax_weights, windowed_mha)
 from .decoding import (BeamHypothesis, BigramLm, beam_search,
                        beam_search_batch, bigram_lm_train, greedy_decode,
                        shallow_fusion)
@@ -30,5 +29,5 @@ __all__ = [
     "bigram_lm_train", "corpus_bleu", "dropout", "edit_align",
     "finite_diff_grad", "greedy_decode", "label_smoothed_nll",
     "multi_head_attention", "no_grad", "relax_weights", "shallow_fusion",
-    "smoothed_focus_weights", "train", "wer", "windowed_mha",
+    "train", "wer", "windowed_mha",
 ]

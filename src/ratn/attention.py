@@ -3,12 +3,11 @@
 One attention kernel, multi_head_attention, and the regularizers built on it:
 relaxed attention (a convex blend of the row-stochastic weights with the
 uniform distribution over key positions), its fuzzy variant (the relaxation
-coefficient drawn from a normal distribution during training), smoothed focus
-(sigmoid-normalized weights instead of softmax), windowed attention with a
-relative position bias, and dropout, used at every dropout site. The kernel
-is one autodiff node from its inputs through the Q/K/V projections, the
-weights and the output projection, chaining the NumPy (output, pullback)
-helpers that the one-node Tensor functions wrap.
+coefficient drawn from a normal distribution during training), windowed
+attention with a relative position bias, and dropout, used at every dropout
+site. The kernel is one autodiff node from its inputs through the Q/K/V
+projections, the softmax weights and the output projection, chaining the
+NumPy (output, pullback) helpers that the one-node Tensor functions wrap.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngStream
-from .tensor import (ShapeError, Tensor, _const, _linear_vjp, _node, _sigmoid,
-                     _softmax, _unary, _unbroadcast, embedding, mul, reshape,
-                     transpose)
+from .tensor import (ShapeError, Tensor, _const, _linear_vjp, _node, _softmax,
+                     _unary, _unbroadcast, embedding, mul, reshape, transpose)
 
 # Additive sentinel for masked logits. Large but finite: exp(sentinel - max)
 # underflows to exactly 0, so masked positions get zero weight and zero
@@ -33,9 +31,6 @@ MODE_OFF = "off"
 MODE_TRAIN_ONLY = "train_only"
 MODE_MATCHED = "matched"
 _MODES = (MODE_OFF, MODE_TRAIN_ONLY, MODE_MATCHED)
-
-WEIGHT_SOFTMAX = "softmax"
-WEIGHT_SMOOTHED_FOCUS = "smoothed_focus"
 
 
 class Phase(enum.Enum):
@@ -109,26 +104,6 @@ def relax_weights(g: Tensor, gamma: float) -> Tensor:
     if gamma == 0.0:
         return g
     return _unary(g, *_relax(g.data, gamma))
-
-
-def _smoothed_focus(e: np.ndarray):
-    """Row-normalized sigmoid of the logits, and its pullback."""
-    s, sigmoid_vjp = _sigmoid(e)
-    denom = s.sum(axis=-1, keepdims=True)
-    if np.any(denom <= 0.0):
-        raise ValueError("smoothed focus undefined: a row has zero total activation")
-    return s / denom, lambda g: sigmoid_vjp(
-        g / denom + (-g * s / (denom * denom)).sum(axis=-1, keepdims=True))
-
-
-def smoothed_focus_weights(e: Tensor) -> Tensor:
-    """Sigmoid-normalized attention weights.
-
-    Each logit passes through the sigmoid and rows are normalized to sum to
-    one. Unlike softmax this is not shift-invariant. Masked entries at
-    MASK_SENTINEL get exactly zero weight; a fully masked row is an error.
-    """
-    return _unary(e, *_smoothed_focus(e.data))
 
 
 def _dropout_mask(shape, p: float, rng: RngStream | None,
@@ -245,12 +220,8 @@ class KvCache:
             self.k, self.v = self.k[rows], self.v[rows]
 
 
-_WEIGHTS = {WEIGHT_SOFTMAX: _softmax, WEIGHT_SMOOTHED_FOCUS: _smoothed_focus}
-
-
 def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
                          relax: RelaxationConfig | None = None,
-                         weight_fn: str = WEIGHT_SOFTMAX,
                          dropout_p: float = 0.0,
                          rng: RngStream | None = None,
                          phase: Phase = Phase.EVAL, *,
@@ -259,7 +230,7 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
                          scale: float | None = None,
                          gamma_out: list | None = None,
                          cache: KvCache | None = None) -> Tensor:
-    """The attention kernel: logits, weights, relaxation, dropout, values.
+    """The attention kernel: logits, softmax, relaxation, dropout, values.
 
     Keys and values are both projections of kv: the queries' own sequence
     for self-attention, the encoder output for cross attention. Per head,
@@ -278,9 +249,6 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
     if q.shape[-1] != d or kv.shape[-1] != d:
         raise ShapeError(f"q/kv feature dims {q.shape[-1]}/{kv.shape[-1]} "
                          f"must equal model dim {d}")
-    if weight_fn not in _WEIGHTS:
-        raise ValueError(f"weight_fn must be one of {tuple(_WEIGHTS)}, "
-                         f"got {weight_fn!r}")
     w_q, w_k, w_v, w_o = (w.data for w in params.tensors().values())
     kh, vh = (cache or KvCache()).keys_values(kv, params)  # no cache: fresh
     gamma = sample_fuzzy_gamma(relax, gamma_rng, phase)
@@ -291,7 +259,7 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
     logits = (qh @ np.ascontiguousarray(np.swapaxes(kh, -1, -2))) * scale
     if bias is not None:
         logits = logits + _const(bias)
-    a, weights_vjp = _WEIGHTS[weight_fn](logits)
+    a, weights_vjp = _softmax(logits)
     if gamma != 0.0:
         a, relax_vjp = _relax(a, gamma)
     keep = _dropout_mask(a.shape, dropout_p, rng, phase)

@@ -128,6 +128,10 @@ def load_model(path) -> Seq2SeqModel:
         raise CheckpointError(f"no config sidecar at {sidecar_path}")
     sidecar = json.loads(sidecar_path.read_text())
     config = sidecar["config"]
+    unknown = set(config) - {f.name for f in dataclasses.fields(ModelConfig)}
+    if unknown:
+        raise CheckpointError(f"sidecar config keys that ModelConfig does not "
+                              f"take: {sorted(unknown)}")
     for site in ("relax_self", "relax_cross"):
         config[site] = RelaxationConfig(**config[site])
     model = Seq2SeqModel(ModelConfig(**config), seed=int(sidecar.get("seed", 0)))

@@ -40,7 +40,10 @@ def _out_dir(args, spec: ExperimentSpec | None = None) -> Path:
 
 
 def _load_spec(args) -> ExperimentSpec:
-    spec = ExperimentSpec.load(args.spec)
+    try:  # unreadable, not JSON, an unknown key or an invalid value
+        spec = ExperimentSpec.load(args.spec)
+    except (OSError, ValueError, TypeError) as err:
+        raise SystemExit(f"--spec {args.spec} does not load: {err}") from None
     if (args.command in SEQ2SEQ_COMMANDS
             and TASKS[spec.task].run_cell is not run_sequence_cell):
         raise SystemExit(f"use `ratn experiment` for the {spec.task} task")
@@ -85,8 +88,12 @@ def cmd_decode(args) -> int:
         raise SystemExit(f"--lm-lambda must be >= 0, got {args.lm_lambda}")
     spec = _load_spec(args)
     out = _out_dir(args, spec)
+    try:
+        model = load_model(args.checkpoint)
+    except (OSError, ValueError) as err:  # missing, or not a checkpoint
+        raise SystemExit(f"--checkpoint {args.checkpoint} does not load: "
+                         f"{err}") from None
     data = build_task_data(spec.task, spec.task_params)
-    model = load_model(args.checkpoint)
     corpus = getattr(data, args.split)
     lm = None
     if args.lm != LM_NONE:

@@ -148,12 +148,16 @@ class ExperimentSpec:
                 raise ValueError(f"repeated {name}s: {repeated}")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
-        for name, build in (("task_params", TASKS[self.task].params),
-                            ("train", TrainConfig)):
+        row = TASKS[self.task]
+        for name, build in (("task_params", row.params), ("train", TrainConfig),
+                            ("model", row.config)):
             try:
                 build(**getattr(self, name))
             except TypeError as err:  # an unknown key
                 raise ValueError(f"bad {name} for {self.task!r}: {err}") from None
+            except ValueError:  # a model check may hinge on the data's sizes
+                if name != "model":
+                    raise
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -293,20 +297,22 @@ class Task:
     build: Callable  # params -> the data its cells consume
     run_cell: Callable  # (spec, data, setting, seed) -> result rows
     gamma_grid: dict  # the default gamma sweep; its keys are the legal sites
+    config: type  # the model config a spec's model section fills in
 
 
 TASKS = {
     "copy": Task(tasks.CopyTaskSpec,
                  partial(tasks.gen_copy_splits, gen=tasks.gen_copy_task),
-                 run_sequence_cell, DEFAULT_GAMMA_GRID),
+                 run_sequence_cell, DEFAULT_GAMMA_GRID, ModelConfig),
     "reverse": Task(tasks.CopyTaskSpec,
                     partial(tasks.gen_copy_splits, gen=tasks.gen_reverse_task),
-                    run_sequence_cell, DEFAULT_GAMMA_GRID),
+                    run_sequence_cell, DEFAULT_GAMMA_GRID, ModelConfig),
     "toy_translate": Task(tasks.ToyTranslateSpec, tasks.gen_toy_translate,
-                          run_sequence_cell, DEFAULT_GAMMA_GRID),
+                          run_sequence_cell, DEFAULT_GAMMA_GRID, ModelConfig),
     "window_classify": Task(tasks.WindowClassifySpec, tasks.gen_window_classify,
                             run_classify_cell,
-                            {"window": DEFAULT_GAMMA_GRID["self"]}),
+                            {"window": DEFAULT_GAMMA_GRID["self"]},
+                            WindowClassifierConfig),
 }
 
 

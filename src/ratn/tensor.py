@@ -246,14 +246,6 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # nonlinearities
 
 
-def _sigmoid(x: np.ndarray):
-    """1/(1+exp(-x)) without overflow or a branch, and its pullback."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    s = np.where(x >= 0, 1.0 / d, e / d)
-    return s, lambda g: g * s * (1.0 - s)
-
-
 def log(a: Tensor) -> Tensor:
     return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 

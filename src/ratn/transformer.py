@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import (KvCache, MhaParams, Phase, RelaxationConfig,
-                        WEIGHT_SOFTMAX, _dropout_mask, causal_mask, dropout,
+                        _dropout_mask, causal_mask, dropout,
                         multi_head_attention)
 from .rng import RngStream
 from .tensor import (Module, Tensor, _linear_vjp, _node, _unbroadcast,
@@ -58,8 +58,6 @@ class ModelConfig:
     dropout_attention: float = 0.1
     relax_self: RelaxationConfig = field(default_factory=RelaxationConfig)
     relax_cross: RelaxationConfig = field(default_factory=RelaxationConfig)
-    weight_fn_self: str = WEIGHT_SOFTMAX
-    weight_fn_cross: str = WEIGHT_SOFTMAX
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
@@ -251,9 +249,8 @@ class Seq2SeqModel(Module):
         for blk in self.enc_blocks:
             a = multi_head_attention(
                 x, x, blk.attn, relax=cfg.relax_self,
-                weight_fn=cfg.weight_fn_self, dropout_p=cfg.dropout_attention,
-                rng=rng, phase=phase, gamma_rng=self._rng_gamma,
-                gamma_out=self.last_gammas["self"])
+                dropout_p=cfg.dropout_attention, rng=rng, phase=phase,
+                gamma_rng=self._rng_gamma, gamma_out=self.last_gammas["self"])
             x = blk.ln1(x, a, p, rng, phase)
             f = blk.ff(x, cfg.dropout_activation, rng, phase)
             x = blk.ln2(x, f, p, rng, phase)
@@ -279,9 +276,9 @@ class Seq2SeqModel(Module):
             x = blk.ln1(x, a, p, rng, phase)
             c = multi_head_attention(
                 x, h, blk.cross_attn, relax=cfg.relax_cross,
-                weight_fn=cfg.weight_fn_cross, dropout_p=cfg.dropout_attention,
-                rng=rng, phase=phase, gamma_rng=self._rng_gamma,
-                gamma_out=self.last_gammas["cross"], cache=cross_cache)
+                dropout_p=cfg.dropout_attention, rng=rng, phase=phase,
+                gamma_rng=self._rng_gamma, gamma_out=self.last_gammas["cross"],
+                cache=cross_cache)
             x = blk.ln2(x, c, p, rng, phase)
             f = blk.ff(x, cfg.dropout_activation, rng, phase)
             x = blk.ln3(x, f, p, rng, phase)

@@ -1,10 +1,9 @@
 """Shared test utilities, and generic ops the library no longer calls: relu
-and layer_norm, the oracles of the fused sublayer nodes, and sigmoid."""
+and layer_norm, the oracles of the fused sublayer nodes."""
 
 import numpy as np
 
-from ratn.tensor import (ShapeError, Tensor, _node, _sigmoid, _unary, backward,
-                         finite_diff_grad)
+from ratn.tensor import ShapeError, Tensor, _node, backward, finite_diff_grad
 
 
 def rel_err(actual, expected) -> float:
@@ -47,11 +46,6 @@ def assert_matches_oracle(fused: Tensor, generic: Tensor,
         grads.append({k: t.grad for k, t in leaves.items()})
     for name in leaves:
         assert rel_err(grads[0][name], grads[1][name]) < 1e-12, name
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    """Elementwise 1/(1+exp(-x)) as one generic node."""
-    return _unary(a, *_sigmoid(a.data))
 
 
 def relu(a: Tensor) -> Tensor:

@@ -96,7 +96,7 @@ def test_criterion_03_entropy_monotonicity():
 # 4. MHA gradient suite
 
 
-def _mha_variant_grad_check(rng, weight_fn, relax, use_window):
+def _mha_variant_grad_check(rng, relax, use_window):
     d, nh, t = 8, 2, 5
     init = RngStream(int(rng.integers(0, 2 ** 31)), "init")
     if use_window:
@@ -117,7 +117,6 @@ def _mha_variant_grad_check(rng, weight_fn, relax, use_window):
 
         def forward():
             return (multi_head_attention(q, kv, params, relax=relax,
-                                         weight_fn=weight_fn,
                                          phase=Phase.EVAL) * probe).sum()
 
         tensors = params.tensors()
@@ -143,19 +142,14 @@ def test_criterion_04_gradient_suite():
     start = time.time()
     rng = RngStream(104, "acceptance")
     relax_on = RelaxationConfig(gamma0=0.3, mode="matched")
-    variants = [("softmax", None, False), ("softmax", relax_on, False),
-                ("smoothed_focus", None, False),
-                ("smoothed_focus", relax_on, False),
-                ("window", None, True), ("window", relax_on, True)]
+    variants = [(None, False), (relax_on, False), (None, True), (relax_on, True)]
     ok = True
-    for weight_fn, relax, use_window in variants:
+    for relax, use_window in variants:
         for _ in range(20):
-            good, which = _mha_variant_grad_check(
-                rng, weight_fn if not use_window else "softmax", relax,
-                use_window)
+            good, which = _mha_variant_grad_check(rng, relax, use_window)
             ok &= good
     elapsed = time.time() - start
-    _report("criterion 4: MHA gradient suite (6 variants x 20 instances)",
+    _report("criterion 4: MHA gradient suite (4 variants x 20 instances)",
             ok and elapsed < 30.0, f"{elapsed:.1f}s")
 
 

@@ -198,6 +198,19 @@ def test_checkpoint_config_mismatch_names_tensor(tmp_path):
         load_model(path)
 
 
+def test_checkpoint_sidecar_with_an_unknown_config_key_raises_checkpoint_error(
+        tmp_path):
+    model = Seq2SeqModel(ModelConfig(**FAST_MODEL, vocab_size=10, max_len=8))
+    path = tmp_path / "m.ratn"
+    save_model(model, path)
+    sidecar_path = tmp_path / "m.ratn.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["config"]["n_layer"] = 2
+    sidecar_path.write_text(json.dumps(sidecar))
+    with pytest.raises(CheckpointError, match=r"does not take: \['n_layer'\]"):
+        load_model(path)
+
+
 _ONE_TENSOR = b"RATN" + struct.pack("<IQ", 1, 1)
 
 
@@ -342,6 +355,22 @@ def test_spec_rejects_cells_that_would_merge(fields, named):
 def test_spec_rejects_unknown_train_keys():
     with pytest.raises(ValueError, match="bad train for 'copy': .*'stpes'"):
         ExperimentSpec.from_dict({"task": "copy", "train": {"stpes": 3}})
+
+
+@pytest.mark.parametrize("task,key", [("copy", "n_layer"),
+                                      ("window_classify", "d_model")])
+def test_spec_rejects_unknown_model_keys(task, key):
+    with pytest.raises(ValueError, match=f"bad model for '{task}': .*'{key}'"):
+        ExperimentSpec.from_dict({"task": task, "model": {key: 2}})
+
+
+def test_spec_leaves_a_model_check_on_the_data_sizes_to_the_cell():
+    # the classifier's channels come from the task: 6 take 3 heads, 8 do not
+    import ratn.experiment as exp
+    spec = ExperimentSpec(task="window_classify", task_params={"channels": 6},
+                          model={"n_heads": 3})
+    data = build_task_data(spec.task, spec.task_params)
+    assert exp.resolve_classifier_config(spec, data, RelaxSetting()).n_heads == 3
 
 
 @pytest.mark.parametrize("train", [{"steps": 0}, {"batch_size": 0}])
@@ -717,6 +746,37 @@ def test_cli_decode_rejects_beam_below_one(tmp_path, beam):
 
 def _never(*args, **kwargs):
     raise AssertionError("ran past an invalid flag")
+
+
+@pytest.mark.parametrize("text,error", [
+    (json.dumps({"task": "copy", "relax_grid": [{"site": "cross", "gamma": 1.5}]}),
+     "gamma0 must be in [0, 1], got 1.5"),
+    ('{"task": "copy",', "Expecting property name enclosed in double quotes"),
+], ids=["gamma_above_one", "json_syntax_error"])
+def test_cli_exits_naming_a_spec_that_does_not_load(tmp_path, monkeypatch,
+                                                    text, error):
+    import ratn.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "run_experiment", _never)
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit, match=re.escape(f"--spec {path} does not "
+                                                   f"load: {error}")):
+        cli_main(["experiment", "--spec", str(path)])
+
+
+@pytest.mark.parametrize("content", [b"NOPE" + b"\x00" * 16, None],
+                         ids=["bad_magic", "missing"])
+def test_cli_decode_exits_naming_a_checkpoint_that_does_not_load(
+        tmp_path, monkeypatch, content):
+    import ratn.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "build_task_data", _never)
+    ckpt = tmp_path / "model.ratn"
+    if content is not None:
+        ckpt.write_bytes(content)
+    with pytest.raises(SystemExit, match=re.escape(f"--checkpoint {ckpt} does "
+                                                   f"not load: ")):
+        cli_main(["decode", "--spec", str(_write_spec(tmp_path)),
+                  "--checkpoint", str(ckpt), "--output-dir", str(tmp_path / "out")])
 
 
 @pytest.mark.parametrize("command", ["train", "decode", "eval"])

@@ -156,8 +156,6 @@ def test_teacher_forcing_matches_sequential_decoding():
 @pytest.mark.parametrize("overrides", [
     {},
     {"relax_cross": RelaxationConfig(gamma0=0.3, mode="matched")},
-    {"relax_cross": RelaxationConfig(gamma0=0.3, mode="matched"),
-     "weight_fn_cross": "smoothed_focus"},
 ])
 def test_incremental_step_matches_full_recompute(overrides):
     model = tiny_model(seed=6, n_dec=2, **overrides)
