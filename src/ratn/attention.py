@@ -86,8 +86,18 @@ def sample_fuzzy_gamma(cfg: RelaxationConfig | None, rng: RngStream | None,
 
 
 def _relax(g: np.ndarray, gamma: float):
-    """g + gamma * (1/L - g) over the last axis, and its pullback."""
-    return g + (1.0 / g.shape[-1] - g) * gamma, lambda gg: gg - gg * gamma
+    """g + gamma * (1/L - g) over the last axis, and its pullback; each
+    direction allocates one array and leaves its argument unchanged."""
+    out = 1.0 / g.shape[-1] - g
+    out *= gamma
+    out += g
+
+    def pullback(gg):
+        gx = gg * gamma
+        np.subtract(gg, gx, out=gx)
+        return gx
+
+    return out, pullback
 
 
 def relax_weights(g: Tensor, gamma: float) -> Tensor:
@@ -256,9 +266,10 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
         gamma_out.append(gamma)
     scale = 1.0 / math.sqrt(d) if scale is None else scale
     qh = _split_heads(q.data @ w_q, n_heads)
-    logits = (qh @ np.ascontiguousarray(np.swapaxes(kh, -1, -2))) * scale
-    if bias is not None:
-        logits = logits + _const(bias)
+    logits = qh @ np.ascontiguousarray(np.swapaxes(kh, -1, -2))
+    logits *= scale
+    if bias is not None:  # a bias broadcasts into the logits' shape
+        logits += _const(bias)
     a, weights_vjp = _softmax(logits)
     if gamma != 0.0:
         a, relax_vjp = _relax(a, gamma)
@@ -276,22 +287,29 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
         g_heads, g_wo = _linear_vjp(heads, w_o, g)
         go = _split_heads(g_heads, n_heads)
         vt = np.ascontiguousarray(np.swapaxes(vh, -1, -2))
-        ga = _unbroadcast(go @ vt, a.shape)
+        # gl, this pullback's own array, runs back from the weights to the
+        # logits; one name, so each stage frees the one before
+        gl = _unbroadcast(go @ vt, a.shape)
         if keep is not None:
-            ga = ga * keep
+            gl *= keep
         if gamma != 0.0:
-            ga = relax_vjp(ga)
-        gl = weights_vjp(ga)
-        gs = gl * scale
+            gl = relax_vjp(gl)
+        gl = weights_vjp(gl)
+        g_bias = None
+        if isinstance(bias, Tensor):  # taken before gl is scaled in place
+            g_bias = _unbroadcast(gl, bias.shape)
+            if g_bias is gl:
+                g_bias = gl.copy()
+        gl *= scale
         gq, g_wq = _linear_vjp(q.data, w_q,
-                               _merge_heads(_unbroadcast(gs @ kh, qh.shape)))
-        gk = _unbroadcast(np.swapaxes(gs, -1, -2) @ qh, kh.shape)
+                               _merge_heads(_unbroadcast(gl @ kh, qh.shape)))
+        gk = _unbroadcast(np.swapaxes(gl, -1, -2) @ qh, kh.shape)
         gv = _unbroadcast(np.swapaxes(a, -1, -2) @ go, vh.shape)
         gkv_k, g_wk = _linear_vjp(kv.data, w_k, _merge_heads(gk))
         gkv_v, g_wv = _linear_vjp(kv.data, w_v, _merge_heads(gv))
         grads = [gq, gkv_k + gkv_v, g_wq, g_wk, g_wv, g_wo]
-        if isinstance(bias, Tensor):
-            grads.append(_unbroadcast(gl, bias.shape))
+        if g_bias is not None:
+            grads.append(g_bias)
         return grads
 
     return _node(heads @ w_o, parents, vjp)

@@ -123,7 +123,11 @@ def cmd_eval(args) -> int:
     data = build_task_data(spec.task, spec.task_params)
     corpus = getattr(data, args.split)
     refs = [list(map(int, t)) for t in corpus.targets]
-    with open(args.hyps) as f:
+    try:
+        f = open(args.hyps)
+    except OSError as err:  # missing or unreadable
+        raise SystemExit(f"--hyps {args.hyps} does not load: {err}") from None
+    with f:
         try:
             hyps = [json.loads(line)["tokens"] for line in f]
         except (ValueError, KeyError, TypeError) as err:  # not JSON, no tokens
@@ -159,7 +163,11 @@ def cmd_sweep_gamma(args) -> int:
 
 
 def cmd_report_ilm(args) -> int:
-    report = ilm_suppression_report(args.results)
+    try:  # missing, unreadable, not JSON lines, or no test result rows
+        report = ilm_suppression_report(args.results)
+    except (OSError, ValueError) as err:
+        raise SystemExit(f"--results {args.results} does not load: "
+                         f"{err}") from None
     text = json.dumps(report, indent=1, sort_keys=True)
     print(text)
     if args.output_dir:

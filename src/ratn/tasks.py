@@ -43,6 +43,14 @@ class SequenceTaskData:
     vocab_size: int
 
 
+def _check_split_sizes(spec) -> None:
+    """Every split needs a row: an empty dev or test split would fail each
+    cell only after training it."""
+    for name in ("n_train", "n_dev", "n_test"):
+        if getattr(spec, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(spec, name)}")
+
+
 @dataclass(frozen=True)
 class CopyTaskSpec:
     """Vocabulary, sequence length and split sizes of copy and reverse."""
@@ -53,6 +61,9 @@ class CopyTaskSpec:
     n_dev: int = 64
     n_test: int = 128
     data_seed: int = 1234
+
+    def __post_init__(self):
+        _check_split_sizes(self)
 
 
 def gen_copy_task(rng: RngStream, vocab_size: int, length: int,
@@ -116,6 +127,7 @@ class ToyTranslateSpec:
     data_seed: int = 1234
 
     def __post_init__(self):
+        _check_split_sizes(self)
         if not 0.0 <= self.ambiguity_rate < 0.5:
             raise ValueError(f"ambiguity_rate must be in [0, 0.5), "
                              f"got {self.ambiguity_rate}")
@@ -230,6 +242,7 @@ class WindowClassifySpec:
     data_seed: int = 1234
 
     def __post_init__(self):
+        _check_split_sizes(self)
         if self.height % self.window or self.width % self.window:
             raise ValueError("grid dims must be divisible by the window side")
 

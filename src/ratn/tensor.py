@@ -265,10 +265,20 @@ def _row_max(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(x: np.ndarray):
-    """Max-shifted softmax over the last axis, and its pullback."""
-    e = np.exp(x - _row_max(x))
-    out = e / e.sum(axis=-1, keepdims=True)
-    return out, lambda g: out * (g - (g * out).sum(axis=-1, keepdims=True))
+    """Max-shifted softmax over the last axis, and its pullback. Exp and
+    divide work in place on the shifted copy; the pullback allocates one
+    array and never writes into g, which backward may share between nodes."""
+    out = x - _row_max(x)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+
+    def pullback(g):
+        gx = g * out
+        np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+        gx *= out
+        return gx
+
+    return out, pullback
 
 
 def softmax_rows(a: Tensor) -> Tensor:

@@ -92,7 +92,12 @@ class AdamState:
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, cfg: TrainConfig) -> None:
     """One bias-corrected Adam update over all parameters as one vector (a
-    missing gradient counts as zero); each .data becomes a slice of it."""
+    missing gradient counts as zero); each .data becomes a slice of it.
+
+    The moments are updated in place, and the step is computed in the
+    function's own two vectors (the concatenated gradient and its square),
+    in the operand order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2
+    and data - lr m_hat / (sqrt(v_hat) + eps)."""
     flat = []
     for name, p in params.items():
         g = grads.get(name)
@@ -105,12 +110,22 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     g = np.concatenate(flat)
     state.step += 1
     t = state.step
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (g * g)
-    m_hat = state.m / (1.0 - cfg.beta1 ** t)
-    v_hat = state.v / (1.0 - cfg.beta2 ** t)
+    g2 = g * g
+    g2 *= 1.0 - cfg.beta2
+    state.v *= cfg.beta2
+    state.v += g2
+    g *= 1.0 - cfg.beta1
+    state.m *= cfg.beta1
+    state.m += g
+    np.divide(state.m, 1.0 - cfg.beta1 ** t, out=g)  # g is m_hat
+    np.divide(state.v, 1.0 - cfg.beta2 ** t, out=g2)  # g2 is v_hat
+    np.sqrt(g2, out=g2)
+    g2 += cfg.eps
+    g *= cfg.lr
+    g /= g2  # g is the step
+    del g2  # before the new parameter vector is made
     data = np.concatenate([p.data.reshape(-1) for p in params.values()])
-    data = data - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    data -= g
     start = 0
     for p in params.values():
         p.data = data[start:start + p.size].reshape(p.shape)
@@ -141,11 +156,13 @@ def fit(model, n: int, loss_fn: Callable[[np.ndarray], Tensor],
 
     Each step draws batch_size indices into the n training examples from the
     "batch" stream, takes loss_fn(idx) (a Phase.TRAIN forward), backpropagates
-    it and applies one Adam update. evaluate, if given, runs every eval_every
-    steps and at the last step; its value is the record's eval_acc, and
-    training stops once that reaches cfg.target_eval_acc. Returns one record
-    per step: {step, loss, eval_acc, gamma_effective}, the last being the
-    mean of every relaxation coefficient in model.last_gammas.
+    it and applies one Adam update; the step's graph is freed before the next
+    forward, so one graph is alive at a time. evaluate, if given, runs every
+    eval_every steps and at the last step; its value is the record's
+    eval_acc, and training stops once that reaches cfg.target_eval_acc.
+    Returns one record per step: {step, loss, eval_acc, gamma_effective},
+    the last being the mean of every relaxation coefficient in
+    model.last_gammas.
     """
     params = model.parameters()
     state = AdamState.init(params)
@@ -159,6 +176,9 @@ def fit(model, n: int, loss_fn: Callable[[np.ndarray], Tensor],
         model.zero_grad()
         backward(loss)
         adam_step(params, {k: t.grad for k, t in params.items()}, state, cfg)
+        # Free the graph after Adam, not before: freed before, glibc hands
+        # the freed heap top back to the OS and the next step faults it in.
+        del loss
         gammas = [g for site in model.last_gammas.values() for g in site]
         record = {"step": step, "loss": loss_val, "eval_acc": None,
                   "gamma_effective": float(np.mean(gammas)) if gammas else 0.0}

@@ -408,6 +408,8 @@ _ORACLE_SITES = {
     "causal_self": ((2, 4, 8), None, "causal"),
     "broadcast_kv": ((2, 3, 8), (4, 8), None),
     "windowed_5d": ((2, 3, 4, 8), None, "table"),
+    # a bias Tensor of the logits' own shape: its gradient is the logits'
+    "full_bias": ((2, 3, 8), (2, 4, 8), "full"),
 }
 
 
@@ -424,6 +426,9 @@ def test_attention_node_matches_generic_op_oracle(site, gamma, phase):
     q = Tensor(rng.normal(q_shape), requires_grad=True)
     kv = q if kv_shape is None else Tensor(rng.normal(kv_shape),
                                            requires_grad=True)
+    logits_shape = (*q_shape[:-2], 2, q_shape[-2], (kv_shape or q_shape)[-2])
+    full = (Tensor(rng.normal(logits_shape), requires_grad=True)
+            if bias_kind == "full" else None)
     p = 0.2 if phase == Phase.TRAIN else 0.0
     scale = 0.4
     relax = RelaxationConfig(gamma0=gamma, mode="matched")
@@ -431,18 +436,18 @@ def test_attention_node_matches_generic_op_oracle(site, gamma, phase):
     def bias():
         if bias_kind == "causal":
             return causal_mask(q_shape[-2])
-        return position_bias(params) if bias_kind == "table" else None
+        return position_bias(params) if bias_kind == "table" else full
 
     fused = multi_head_attention(q, kv, mha, relax=relax, dropout_p=p,
                                  rng=RngStream(62, "dropout"), phase=phase,
                                  bias=bias(), scale=scale)
-    keep = _dropout_mask((*q_shape[:-2], 2, q_shape[-2],
-                          (kv_shape or q_shape)[-2]),
-                         p, RngStream(62, "dropout"), phase)
+    keep = _dropout_mask(logits_shape, p, RngStream(62, "dropout"), phase)
     generic = _generic_attention(q, kv, mha, gamma, keep, bias(), scale)
     leaves = {"q": q, "kv": kv, **params.tensors()}
     if bias_kind != "table":
         del leaves["bias_table"]
+    if full is not None:
+        leaves["bias"] = full
     assert_matches_oracle(fused, generic, leaves, rng.normal(fused.shape))
 
 

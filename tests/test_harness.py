@@ -373,6 +373,15 @@ def test_spec_leaves_a_model_check_on_the_data_sizes_to_the_cell():
     assert exp.resolve_classifier_config(spec, data, RelaxSetting()).n_heads == 3
 
 
+@pytest.mark.parametrize("task,split", [("copy", "n_test"),
+                                        ("toy_translate", "n_train"),
+                                        ("window_classify", "n_dev")])
+def test_spec_rejects_an_empty_split(task, split):
+    # one case per task parameter spec class; caught at load, not per cell
+    with pytest.raises(ValueError, match=f"{split} must be >= 1, got 0"):
+        ExperimentSpec(task=task, task_params={split: 0})
+
+
 @pytest.mark.parametrize("train", [{"steps": 0}, {"batch_size": 0}])
 def test_spec_rejects_fewer_than_one_step_or_example(train):
     with pytest.raises(ValueError, match="steps and batch_size must be >= 1"):
@@ -684,6 +693,18 @@ def test_cli_eval_rejects_a_malformed_hyps_line(tmp_path, line):
         cli_main(["eval", "--spec", str(spec_path), "--hyps", str(hyps),
                   "--split", "test", "--output-dir", str(out)])
     assert not list(out.glob("eval.*.json"))
+
+
+@pytest.mark.parametrize("command,flag", [("eval", "--hyps"),
+                                          ("report-ilm", "--results")])
+def test_cli_exits_naming_a_missing_input_file(tmp_path, command, flag):
+    missing = tmp_path / "missing.jsonl"
+    spec = ["--spec", str(_write_spec(tmp_path))] if command == "eval" else []
+    with pytest.raises(SystemExit, match=re.escape(f"{flag} {missing} does "
+                                                   f"not load: ")):
+        cli_main([command, *spec, flag, str(missing),
+                  "--output-dir", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_experiment_and_reports(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from helpers import rel_err
 from ratn.attention import Phase, RelaxationConfig, relax_weights
 from ratn.decoding import greedy_decode
+from ratn.experiment import (ExperimentSpec, RelaxSetting, build_task_data,
+                             resolve_model_config)
 from ratn.rng import RngStream
 from ratn.tasks import gen_copy_task
 from ratn.tensor import Tensor, backward, finite_diff_grad, matmul
@@ -198,6 +201,25 @@ def test_divergence_detection():
     model.out_b.data = np.full_like(model.out_b.data, np.nan)
     with pytest.raises(TrainingDiverged):
         train(model, corpus.sources, corpus.targets, tcfg)
+
+
+def test_fit_holds_one_graph_at_a_time():
+    # A step's graph is freed before the next forward, so three steps peak
+    # no higher than one does (two graphs alive would read about 1.5x).
+    data = build_task_data("copy", {})
+    cfg = resolve_model_config(ExperimentSpec(task="copy"), data, RelaxSetting())
+
+    def peak(steps):
+        model = Seq2SeqModel(cfg, seed=0)
+        tracemalloc.start()
+        try:
+            train(model, data.train.sources, data.train.targets,
+                  TrainConfig(steps=steps))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3) <= 1.2 * peak(1)
 
 
 def test_gradient_through_relaxation_scales_by_one_minus_gamma():

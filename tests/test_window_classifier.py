@@ -6,9 +6,10 @@ import numpy as np
 
 from ratn.attention import Phase, RelaxationConfig
 from ratn.tasks import WindowClassifySpec, gen_window_classify
+from ratn.tensor import no_grad
 from ratn.training import TrainConfig
-from ratn.window_classifier import (WindowClassifier, WindowClassifierConfig,
-                                    train_classifier)
+from ratn.window_classifier import (EVAL_ROWS_PER_CALL, WindowClassifier,
+                                    WindowClassifierConfig, train_classifier)
 
 SPEC = WindowClassifySpec(height=4, width=4, channels=8, window=2, n_classes=3,
                           n_train=256, n_dev=48, n_test=96, data_seed=5,
@@ -49,6 +50,31 @@ def test_fuzzy_training_draws_fresh_gammas():
     assert len(gammas) == 4 and len(set(gammas)) == 4
     model.forward(x, Phase.EVAL)
     assert model.last_gammas["window"] == [0.1]
+
+
+def test_chunked_accuracy_equals_one_forward_pass():
+    # 70 rows: two full chunks and a partial one, each row's probabilities
+    # the same bits as in one forward over the whole split
+    dev = gen_window_classify(dataclasses.replace(SPEC, n_dev=70)).dev
+    model = WindowClassifier(dataclasses.replace(
+        CFG, relax=RelaxationConfig(0.1, mode="matched")), seed=6)
+    with no_grad():
+        whole = model.forward(dev.inputs).data
+        chunks = [model.forward(dev.inputs[i:i + EVAL_ROWS_PER_CALL]).data
+                  for i in range(0, 70, EVAL_ROWS_PER_CALL)]
+    assert [len(c) for c in chunks] == [32, 32, 6]
+    assert np.array_equal(np.concatenate(chunks), whole)
+    rows_seen = []
+    forward = model.forward
+
+    def counting_forward(x, phase):
+        rows_seen.append(len(x))
+        return forward(x, phase)
+
+    model.forward = counting_forward
+    assert (model.accuracy(dev.inputs, dev.labels)
+            == np.mean(np.argmax(whole, axis=-1) == dev.labels))
+    assert rows_seen == [32, 32, 6]
 
 
 def test_classifier_learns_the_patterns():
