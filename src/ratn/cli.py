@@ -156,8 +156,11 @@ def cmd_experiment(args) -> int:
 
 def cmd_sweep_gamma(args) -> int:
     spec = _load_spec(args)
-    path = gamma_sweep(spec, workers=args.workers,
-                       output_dir=str(_out_dir(args, spec)))
+    try:
+        path = gamma_sweep(spec, workers=args.workers,
+                           output_dir=str(_out_dir(args, spec)))
+    except RuntimeError as err:  # a failed cell, named in err
+        raise SystemExit(f"--spec {args.spec}: {err}") from None
     print(f"sweep: {path}")
     return 0
 

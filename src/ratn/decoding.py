@@ -4,7 +4,7 @@ Fused scores are log P(model) + lambda * log P(LM), with a BigramLm as the
 LM, accumulated per emitted token and never renormalized. A hypothesis
 finishes when it emits EOS; the search for a source stops once its best
 unfinished score drops below its best finished score minus eos_margin
-(margin 0: no unfinished hypothesis can still win), or at max_len. Final
+(>= 0; at 0 no unfinished hypothesis can still win), or at max_len. Final
 ranking divides scores by emitted-token count.
 
 Search runs over a corpus batch: the live hypotheses of every unfinished
@@ -147,6 +147,8 @@ def beam_search_batch(model: Seq2SeqModel, h: Tensor, beam: int,
         raise ValueError(f"beam width must be >= 1, got {beam}")
     if lam < 0:
         raise ValueError(f"fusion weight lambda must be >= 0, got {lam}")
+    if eos_margin < 0:  # a source would stop while it can still improve
+        raise ValueError(f"eos_margin must be >= 0, got {eos_margin}")
     if h.ndim != 3:
         raise ValueError(f"encoder output must be [N, T, d], got {h.shape}")
     if h.shape[-2] == 0:

@@ -62,7 +62,8 @@ DEFAULT_FUZZY_SIGMA2 = 0.03 ** 2
 @dataclass(frozen=True)
 class RelaxSetting:
     """One point of the relaxation grid; fuzzy fills in a None gamma and a 0.0
-    sigma2. Construction runs RelaxationConfig's checks, the baseline's too."""
+    sigma2. Construction runs RelaxationConfig's checks, the baseline's too;
+    the baseline (site none) takes no gamma, sigma2 or fuzzy."""
 
     site: str = "none"  # none | self | cross | window
     gamma: float | None = None  # None: DEFAULT_FUZZY_GAMMA0 if fuzzy, else 0
@@ -71,20 +72,18 @@ class RelaxSetting:
     fuzzy: bool = False
 
     def __post_init__(self):
-        if self.site not in ("none", "self", "cross", "window"):
-            raise ValueError(f"unknown relaxation site {self.site!r}")
+        if self.site == "none" and (self.gamma or self.sigma2 or self.fuzzy):
+            raise ValueError("the baseline (site 'none') takes no gamma, sigma2 "
+                             "or fuzzy")
         if self.gamma is None:
             object.__setattr__(self, "gamma",
                                DEFAULT_FUZZY_GAMMA0 if self.fuzzy else 0.0)
         if self.fuzzy and self.sigma2 == 0.0:
             object.__setattr__(self, "sigma2", DEFAULT_FUZZY_SIGMA2)
-        self._config()
-
-    def _config(self) -> RelaxationConfig:
-        return RelaxationConfig(self.gamma, self.sigma2, self.mode, self.fuzzy)
+        self.relaxation()
 
     def relaxation(self) -> RelaxationConfig:
-        return RelaxationConfig() if self.site == "none" else self._config()
+        return RelaxationConfig(self.gamma, self.sigma2, self.mode, self.fuzzy)
 
     @property
     def label(self) -> str:
@@ -148,7 +147,16 @@ class ExperimentSpec:
                 raise ValueError(f"repeated {name}s: {repeated}")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
+        if self.eos_margin < 0:  # a source would stop while it can still improve
+            raise ValueError(f"eos_margin must be >= 0, got {self.eos_margin}")
         row = TASKS[self.task]
+        sites = {s.site for s in self.relax_grid} - {"none"}
+        for site in sorted(sites | set(self.gamma_grid or ())):
+            if site not in row.gamma_grid:
+                raise ValueError(f"the {self.task} task has no site {site!r}; "
+                                 f"its sites are {sorted(row.gamma_grid)}")
+        if self.gamma_grid is not None:
+            resolve_gamma_grid(self)
         for name, build in (("task_params", row.params), ("train", TrainConfig),
                             ("model", row.config)):
             try:
@@ -186,32 +194,17 @@ def _numpy_to_python(x):
 # model configs
 
 
-def resolve_model_config(spec: ExperimentSpec, data,
-                         setting: RelaxSetting) -> ModelConfig:
-    overrides = dict(spec.model)
-    src_len = data.train.sources.shape[1]
-    tgt_len = data.train.targets.shape[1]
-    overrides.setdefault("vocab_size", data.vocab_size)
-    overrides.setdefault("max_len", max(src_len, tgt_len + 4))
+def resolve_model_config(spec: ExperimentSpec, data, setting: RelaxSetting):
+    """A cell's model config: the sizes its task's data fixes, the spec's
+    model section over them, and the setting's relaxation at relax_<site>."""
+    row = TASKS[spec.task]
+    fields = {**row.sizes(data), **spec.model}
     if setting.site != "none":
-        if setting.site not in TASKS[spec.task].gamma_grid:
-            owners = ", ".join(t for t, row in TASKS.items()
-                               if setting.site in row.gamma_grid)
-            raise ValueError(f"site {setting.site!r} applies to the {owners} "
-                             "task only")
-        overrides[f"relax_{setting.site}"] = setting.relaxation()
-    return ModelConfig(**overrides)
+        fields[f"relax_{setting.site}"] = setting.relaxation()
+    return row.config(**fields)
 
 
-def resolve_classifier_config(spec: ExperimentSpec, data,
-                              setting: RelaxSetting) -> WindowClassifierConfig:
-    if setting.site not in ("none", *TASKS[spec.task].gamma_grid):
-        raise ValueError(f"site {setting.site!r} does not apply to {spec.task}")
-    overrides = dict(spec.model)
-    for name in ("channels", "window", "n_classes"):
-        overrides.setdefault(name, getattr(data.spec, name))
-    overrides["relax"] = setting.relaxation()
-    return WindowClassifierConfig(**overrides)
+resolve_classifier_config = resolve_model_config  # perfbench's name for it
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +268,7 @@ def run_sequence_cell(spec: ExperimentSpec, data: tasks.SequenceTaskData,
 
 def run_classify_cell(spec: ExperimentSpec, data, setting: RelaxSetting,
                       seed: int) -> list[dict]:
-    cfg = resolve_classifier_config(spec, data, setting)
+    cfg = resolve_model_config(spec, data, setting)
     train_cfg = TrainConfig(**{**spec.train, "seed": seed})
     model = WindowClassifier(cfg, seed=seed)
     train_classifier(model, data.train.inputs, data.train.labels, train_cfg)
@@ -297,22 +290,33 @@ class Task:
     build: Callable  # params -> the data its cells consume
     run_cell: Callable  # (spec, data, setting, seed) -> result rows
     gamma_grid: dict  # the default gamma sweep; its keys are the legal sites
-    config: type  # the model config a spec's model section fills in
+    config: type  # the model config; has a relax_<site> field per site
+    sizes: Callable  # data -> the config fields the data fixes
 
 
+def sequence_sizes(data: tasks.SequenceTaskData) -> dict:
+    # room for a source, and for a target with BOS, EOS and two more steps
+    return {"vocab_size": data.vocab_size,
+            "max_len": max(data.train.sources.shape[1],
+                           data.train.targets.shape[1] + 4)}
+
+
+_sequence_task = partial(Task, run_cell=run_sequence_cell,
+                         gamma_grid=DEFAULT_GAMMA_GRID, config=ModelConfig,
+                         sizes=sequence_sizes)
 TASKS = {
-    "copy": Task(tasks.CopyTaskSpec,
-                 partial(tasks.gen_copy_splits, gen=tasks.gen_copy_task),
-                 run_sequence_cell, DEFAULT_GAMMA_GRID, ModelConfig),
-    "reverse": Task(tasks.CopyTaskSpec,
-                    partial(tasks.gen_copy_splits, gen=tasks.gen_reverse_task),
-                    run_sequence_cell, DEFAULT_GAMMA_GRID, ModelConfig),
-    "toy_translate": Task(tasks.ToyTranslateSpec, tasks.gen_toy_translate,
-                          run_sequence_cell, DEFAULT_GAMMA_GRID, ModelConfig),
+    "copy": _sequence_task(tasks.CopyTaskSpec, partial(
+        tasks.gen_copy_splits, gen=tasks.gen_copy_task)),
+    "reverse": _sequence_task(tasks.CopyTaskSpec, partial(
+        tasks.gen_copy_splits, gen=tasks.gen_reverse_task)),
+    "toy_translate": _sequence_task(tasks.ToyTranslateSpec,
+                                    tasks.gen_toy_translate),
     "window_classify": Task(tasks.WindowClassifySpec, tasks.gen_window_classify,
                             run_classify_cell,
                             {"window": DEFAULT_GAMMA_GRID["self"]},
-                            WindowClassifierConfig),
+                            WindowClassifierConfig, lambda data: {
+                                name: getattr(data.spec, name)
+                                for name in ("channels", "window", "n_classes")}),
 }
 
 
@@ -420,14 +424,17 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1,
 
 def resolve_gamma_grid(spec: ExperimentSpec) -> dict[str, list[float]]:
     """Sweep grid per site; defaults to the task's row of TASKS, and every
-    site's grid must include gamma = 0 (the baseline point). Distinct gammas
-    of a site must stay distinct under :g, the format of the setting label
-    and the CSV. provenance reports this default too."""
+    site's grid must include gamma = 0 (the baseline point) and lie in
+    [0, 1]. Distinct gammas of a site must stay distinct under :g, the
+    format of the setting label and the CSV. ExperimentSpec checks a given
+    grid; provenance reports the default."""
     given = TASKS[spec.task].gamma_grid if spec.gamma_grid is None else spec.gamma_grid
     grid = {site: [float(g) for g in gammas] for site, gammas in given.items()}
     if not grid:
         raise ValueError("gamma_grid must name at least one site")
     for site, gammas in grid.items():
+        for g in gammas:
+            RelaxationConfig(g)  # gamma0 in [0, 1]
         if 0.0 not in gammas:
             raise ValueError(f"gamma grid for site {site!r} must include 0")
         if len({f"{g:g}" for g in set(gammas)}) < len(set(gammas)):
@@ -454,9 +461,9 @@ def gamma_sweep(spec: ExperimentSpec, workers: int = 1,
     for (setting, seed), cell_rows in _run_cells(sweep_spec, workers):
         dev = [r for r in cell_rows if r.get("split") == "dev"
                and r.get("lm") == LM_NONE]
-        if not dev:
+        if not dev:  # the cell's one row is its cell_failed row
             raise RuntimeError(f"sweep cell ({setting.site}, {setting.gamma}, "
-                               f"{seed}) failed: {cell_rows}")
+                               f"{seed}) failed: {cell_rows[0]['error']}")
         rows.append((setting.site, setting.gamma, seed, dev[0]["metric"],
                      dev[0]["value"]))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))

@@ -48,6 +48,8 @@ class TrainConfig:
         if min(self.steps, self.batch_size) < 1:
             raise ValueError(f"steps and batch_size must be >= 1, got "
                              f"{self.steps} and {self.batch_size}")
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
 
 
 def label_smoothed_nll(p: Tensor, targets, alpha: float) -> Tensor:

@@ -33,7 +33,7 @@ class WindowClassifierConfig:
     window: int = 4
     n_heads: int = 2
     n_classes: int = 4
-    relax: RelaxationConfig = field(default_factory=RelaxationConfig)
+    relax_window: RelaxationConfig = field(default_factory=RelaxationConfig)
 
     def __post_init__(self):
         if self.channels % self.n_heads:
@@ -66,7 +66,7 @@ class WindowClassifier(Module):
         cfg = self.config
         t = x if isinstance(x, Tensor) else Tensor(x)
         self.last_gammas["window"] = []
-        a = windowed_mha(t, self.attn, relax=cfg.relax, phase=phase,
+        a = windowed_mha(t, self.attn, relax=cfg.relax_window, phase=phase,
                          gamma_rng=self._rng_gamma,
                          gamma_out=self.last_gammas["window"])
         pooled = self.ln(t, a).mean(axis=(-3, -2))

@@ -126,6 +126,14 @@ def test_beam_validation():
         beam_search(model, Tensor(np.zeros((0, 8))), beam=2)
 
 
+def test_beam_search_rejects_a_negative_eos_margin():
+    # below 0 a source would stop while a live hypothesis still outscores
+    # its best finished one
+    model, h = small_model(2)
+    with pytest.raises(ValueError, match="eos_margin must be >= 0, got -5"):
+        beam_search_batch(model, Tensor(h.data[None]), beam=2, eos_margin=-5)
+
+
 class StubModel:
     """Fixed per-step log-probability tables keyed by prefix length."""
 

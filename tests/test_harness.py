@@ -342,7 +342,8 @@ def test_spec_rejects_unknown_task_params(task):
 
 @pytest.mark.parametrize("fields,named", [
     ({"seeds": (0, 1, 0)}, "seeds: [0]"),
-    ({"relax_grid": (RelaxSetting(), RelaxSetting(gamma=0.3))}, "labels: ['baseline']"),
+    ({"relax_grid": (RelaxSetting(), RelaxSetting(mode="matched"))},
+     "labels: ['baseline']"),
     ({"relax_grid": (RelaxSetting(site="self", gamma=0.1),
                      RelaxSetting(site="self", gamma=0.1, sigma2=0.5))},
      "labels: ['self_g0.1_train_only']"),
@@ -370,7 +371,7 @@ def test_spec_leaves_a_model_check_on_the_data_sizes_to_the_cell():
     spec = ExperimentSpec(task="window_classify", task_params={"channels": 6},
                           model={"n_heads": 3})
     data = build_task_data(spec.task, spec.task_params)
-    assert exp.resolve_classifier_config(spec, data, RelaxSetting()).n_heads == 3
+    assert exp.resolve_model_config(spec, data, RelaxSetting()).n_heads == 3
 
 
 @pytest.mark.parametrize("task,split", [("copy", "n_test"),
@@ -380,6 +381,18 @@ def test_spec_rejects_an_empty_split(task, split):
     # one case per task parameter spec class; caught at load, not per cell
     with pytest.raises(ValueError, match=f"{split} must be >= 1, got 0"):
         ExperimentSpec(task=task, task_params={split: 0})
+
+
+@pytest.mark.parametrize("fields", [{"gamma": 0.5}, {"sigma2": 0.0009},
+                                    {"fuzzy": True}],
+                         ids=["gamma", "sigma2", "fuzzy"])
+def test_baseline_setting_rejects_relaxation_fields(fields):
+    # the unrelaxed model's rows would carry them
+    with pytest.raises(ValueError, match=re.escape(
+            "the baseline (site 'none') takes no gamma, sigma2 or fuzzy")):
+        RelaxSetting(site="none", **fields)
+    # a zero gamma and any mode stay free
+    assert RelaxSetting(gamma=0.0, mode="matched").label == "baseline"
 
 
 @pytest.mark.parametrize("train", [{"steps": 0}, {"batch_size": 0}])
@@ -524,43 +537,52 @@ def test_gamma_sweep_shape_and_baseline_equivalence(tmp_path):
             assert float(value) == base_dev[int(seed)]
 
 
+# a vocabulary too small for the copy task's tokens: the cell fails on its data
+TOO_SMALL_VOCAB = {**FAST_MODEL, "vocab_size": 6}
+
+
 def test_gamma_sweep_failed_cell_raises_alike_at_any_worker_count(tmp_path):
     spec = fast_spec(tmp_path, train={**FAST_TRAIN, "steps": 2},
-                     gamma_grid={"window": [0.0]})
+                     model=TOO_SMALL_VOCAB, gamma_grid={"self": [0.0]})
     messages = []
     for workers in (1, 2):
-        with pytest.raises(RuntimeError, match=r"sweep cell \(window, 0.0, 0\)"
-                                               r" failed") as err:
+        with pytest.raises(RuntimeError, match=r"sweep cell \(self, 0.0, 0\)"
+                                               r" failed: ") as err:
             gamma_sweep(spec, workers=workers)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    assert "window_classify task only" in messages[0]
+
+
+def test_cli_sweep_gamma_exits_naming_a_failed_cell(tmp_path):
+    spec_path = _write_spec(tmp_path, lm=None, model=TOO_SMALL_VOCAB,
+                            train={**FAST_TRAIN, "steps": 2},
+                            gamma_grid={"self": [0.0]})
+    with pytest.raises(SystemExit, match=re.escape(
+            f"--spec {spec_path}: sweep cell (self, 0.0, 0) failed: ")):
+        cli_main(["sweep-gamma", "--spec", str(spec_path),
+                  "--output-dir", str(tmp_path / "sweep")])
 
 
 def test_gamma_sweep_requires_zero_point(tmp_path):
-    spec = fast_spec(tmp_path, gamma_grid={"self": [0.01]})
+    # checked when the spec loads, for `ratn experiment` as for a sweep
     with pytest.raises(ValueError, match="include 0"):
-        gamma_sweep(spec)
+        fast_spec(tmp_path, gamma_grid={"self": [0.01]})
 
 
 def test_gamma_sweep_rejects_distinct_gammas_that_print_alike(tmp_path):
-    spec = fast_spec(tmp_path, gamma_grid={"self": [0.0, 0.0001, 0.00010000001]})
     with pytest.raises(ValueError, match="gamma_grid for site 'self'"):
-        gamma_sweep(spec)
+        fast_spec(tmp_path, gamma_grid={"self": [0.0, 0.0001, 0.00010000001]})
     # an exact repeat is one cell
     csv_path = gamma_sweep(fast_spec(tmp_path, gamma_grid={"self": [0.0, 0.01,
                                                                     0.01]}))
     assert len(csv_path.read_text().strip().splitlines()) == 3
 
 
-def test_gamma_sweep_rejects_a_gamma_above_one_before_any_cell_runs(
-        tmp_path, monkeypatch):
-    import ratn.experiment as exp
-    monkeypatch.setattr(exp, "train", _never)
-    spec = fast_spec(tmp_path, gamma_grid={"cross": [0.0, 1.5]})
+def test_gamma_sweep_rejects_a_gamma_above_one_before_any_cell_runs(tmp_path):
+    # checked when the spec loads
     with pytest.raises(ValueError, match=re.escape("gamma0 must be in [0, 1], "
                                                    "got 1.5")):
-        gamma_sweep(spec)
+        fast_spec(tmp_path, gamma_grid={"cross": [0.0, 1.5]})
 
 
 def test_gamma_sweep_rejects_an_empty_gamma_grid(tmp_path):
@@ -785,6 +807,43 @@ def test_cli_exits_naming_a_spec_that_does_not_load(tmp_path, monkeypatch,
         cli_main(["experiment", "--spec", str(path)])
 
 
+@pytest.mark.parametrize("command,fields,error", [
+    ("experiment", {"relax_grid": [{"site": "window", "gamma": 0.1}]},
+     "the copy task has no site 'window'; its sites are ['cross', 'self']"),
+    ("experiment", {"task": "window_classify", "task_params": {}, "model": {},
+                    "lm": None, "relax_grid": [{"site": "cross", "gamma": 0.1}]},
+     "the window_classify task has no site 'cross'; its sites are ['window']"),
+    ("sweep-gamma", {"gamma_grid": {"window": [0, 0.1]}},
+     "the copy task has no site 'window'; its sites are ['cross', 'self']"),
+    ("sweep-gamma", {"gamma_grid": {"self": [0.1]}},
+     "gamma grid for site 'self' must include 0"),
+    ("experiment", {"gamma_grid": {"self": [0.1]}},
+     "gamma grid for site 'self' must include 0"),
+    ("sweep-gamma", {"gamma_grid": {"cross": [0, 1.5]}},
+     "gamma0 must be in [0, 1], got 1.5"),
+    ("experiment", {"eos_margin": -5}, "eos_margin must be >= 0, got -5"),
+    ("experiment", {"relax_grid": [{"site": "none", "gamma": 0.5, "fuzzy": True}]},
+     "the baseline (site 'none') takes no gamma, sigma2 or fuzzy"),
+    ("train", {"train": {**FAST_TRAIN, "eval_every": 0}},
+     "eval_every must be >= 1, got 0"),
+], ids=["copy_window_setting", "window_cross_setting", "sweep_window_grid",
+        "sweep_grid_without_zero", "experiment_grid_without_zero",
+        "sweep_gamma_above_one", "negative_eos_margin", "baseline_with_gamma",
+        "eval_every_zero"])
+def test_cli_rejects_a_bad_spec_before_building_data(tmp_path, monkeypatch,
+                                                     command, fields, error):
+    import ratn.cli as cli_mod
+    import ratn.experiment as exp
+    monkeypatch.setattr(exp, "build_task_data", _never)
+    monkeypatch.setattr(cli_mod, "build_task_data", _never)
+    spec_path = _write_spec(tmp_path, **fields)
+    with pytest.raises(SystemExit, match=re.escape(
+            f"--spec {spec_path} does not load: {error}")):
+        cli_main([command, "--spec", str(spec_path),
+                  "--output-dir", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("content", [b"NOPE" + b"\x00" * 16, None],
                          ids=["bad_magic", "missing"])
 def test_cli_decode_exits_naming_a_checkpoint_that_does_not_load(
@@ -923,31 +982,60 @@ def test_gamma_sweep_window_task_defaults(tmp_path):
 
 SEQ_GRID = {"self": [0.0, 0.0001, 0.001, 0.01, 0.05, 0.1],
             "cross": [0.0, 0.1, 0.15, 0.2, 0.25, 0.3]}
-SEQ_RULES = (SEQ_GRID, "resolve_model_config",
-             "site 'window' applies to the window_classify task only")
-# task -> (default sweep grid, config resolver, error for a site it lacks)
-SITE_RULES = {"copy": SEQ_RULES, "reverse": SEQ_RULES, "toy_translate": SEQ_RULES,
-              "window_classify": ({"window": SEQ_GRID["self"]},
-                                  "resolve_classifier_config",
-                                  "site '{site}' does not apply to window_classify")}
+# task -> its default sweep grid, whose keys are the only sites it takes
+DEFAULT_GRIDS = {"copy": SEQ_GRID, "reverse": SEQ_GRID, "toy_translate": SEQ_GRID,
+                 "window_classify": {"window": SEQ_GRID["self"]}}
 
 
 def test_resolve_gamma_grid_defaults():
-    # every task's default sweep covers exactly the sites its resolver takes
+    # every task's default sweep covers exactly the sites its specs accept; a
+    # site it lacks, in a relax_grid or a gamma_grid, fails the load
     import ratn.experiment as exp
-    for task, (grid, resolver, error) in SITE_RULES.items():
-        spec = ExperimentSpec(task=task)
-        assert exp.resolve_gamma_grid(spec) == grid
-        resolve, data = getattr(exp, resolver), build_task_data(task, {})
-        resolve(spec, data, RelaxSetting(site="none"))
+    for task, grid in DEFAULT_GRIDS.items():
+        assert exp.resolve_gamma_grid(ExperimentSpec(task=task)) == grid
         for site in ("self", "cross", "window"):
-            setting = RelaxSetting(site=site, gamma=0.1)
-            if site in grid:
-                resolve(spec, data, setting)
-            else:
+            for fields in ({"relax_grid": (RelaxSetting(site=site, gamma=0.1),)},
+                           {"gamma_grid": {site: [0.0, 0.1]}}):
+                if site in grid:
+                    ExperimentSpec(task=task, **fields)
+                    continue
                 with pytest.raises(ValueError) as err:
-                    resolve(spec, data, setting)
-                assert str(err.value) == error.format(site=site)
+                    ExperimentSpec(task=task, **fields)
+                assert str(err.value) == (f"the {task} task has no site {site!r}; "
+                                          f"its sites are {sorted(grid)}")
+
+
+def _sequence_config(data):
+    return ModelConfig(vocab_size=data.vocab_size,
+                       max_len=max(data.train.sources.shape[1],
+                                   data.train.targets.shape[1] + 4))
+
+
+def _window_config(data):
+    return WindowClassifierConfig(channels=data.spec.channels,
+                                  window=data.spec.window,
+                                  n_classes=data.spec.n_classes)
+
+
+# task -> its default model config, spelled out from the task's data
+HAND_CONFIGS = {"copy": _sequence_config, "reverse": _sequence_config,
+                "toy_translate": _sequence_config, "window_classify": _window_config}
+
+
+@pytest.mark.parametrize("task", sorted(HAND_CONFIGS))
+def test_task_row_agrees_with_its_model_config(task):
+    import ratn.experiment as exp
+    assert set(exp.TASKS) == set(HAND_CONFIGS)
+    row, data = exp.TASKS[task], build_task_data(task, {})
+    fields = {f.name for f in dataclasses.fields(row.config)}
+    assert {f"relax_{site}" for site in row.gamma_grid} <= fields
+    assert set(row.sizes(data)) <= fields
+    spec, expected = ExperimentSpec(task=task), HAND_CONFIGS[task](data)
+    assert exp.resolve_model_config(spec, data, RelaxSetting()) == expected
+    for site in row.gamma_grid:
+        setting = RelaxSetting(site=site, gamma=0.1, mode="matched")
+        assert exp.resolve_model_config(spec, data, setting) == dataclasses.replace(
+            expected, **{f"relax_{site}": setting.relaxation()})
 
 
 @pytest.mark.parametrize("task", ["copy", "reverse", "toy_translate",

@@ -67,6 +67,12 @@ def test_nll_gradient():
     assert rel_err(p.grad, finite_diff_grad(f, p)) < 1e-6
 
 
+def test_train_config_rejects_eval_every_below_one():
+    # fit evaluates at every step divisible by eval_every
+    with pytest.raises(ValueError, match="eval_every must be >= 1, got 0"):
+        TrainConfig(eval_every=0)
+
+
 def test_adam_zero_gradient_leaves_parameters():
     p = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
     state = AdamState.init(p)

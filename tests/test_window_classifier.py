@@ -30,17 +30,18 @@ def test_relaxation_mode_gating():
     data = gen_window_classify(SPEC)
     x = data.dev.inputs[:3]
     train_only = WindowClassifier(dataclasses.replace(
-        CFG, relax=RelaxationConfig(0.3, mode="train_only")), seed=1)
+        CFG, relax_window=RelaxationConfig(0.3, mode="train_only")), seed=1)
     off = WindowClassifier(CFG, seed=1)
     assert np.array_equal(train_only.forward(x).data, off.forward(x).data)
     matched = WindowClassifier(dataclasses.replace(
-        CFG, relax=RelaxationConfig(0.3, mode="matched")), seed=1)
+        CFG, relax_window=RelaxationConfig(0.3, mode="matched")), seed=1)
     assert np.abs(matched.forward(x).data - off.forward(x).data).max() > 1e-9
 
 
 def test_fuzzy_training_draws_fresh_gammas():
     cfg = dataclasses.replace(
-        CFG, relax=RelaxationConfig(0.1, sigma2=0.0009, mode="matched", fuzzy=True))
+        CFG, relax_window=RelaxationConfig(0.1, sigma2=0.0009, mode="matched",
+                                           fuzzy=True))
     model = WindowClassifier(cfg, seed=2)
     x = gen_window_classify(SPEC).dev.inputs[:2]
     gammas = []
@@ -57,7 +58,7 @@ def test_chunked_accuracy_equals_one_forward_pass():
     # the same bits as in one forward over the whole split
     dev = gen_window_classify(dataclasses.replace(SPEC, n_dev=70)).dev
     model = WindowClassifier(dataclasses.replace(
-        CFG, relax=RelaxationConfig(0.1, mode="matched")), seed=6)
+        CFG, relax_window=RelaxationConfig(0.1, mode="matched")), seed=6)
     with no_grad():
         whole = model.forward(dev.inputs).data
         chunks = [model.forward(dev.inputs[i:i + EVAL_ROWS_PER_CALL]).data
