@@ -64,7 +64,7 @@ class RelaxationConfig:
             raise ValueError("fuzzy relaxation requires sigma2 > 0")
 
 
-def sample_fuzzy_gamma(cfg: RelaxationConfig | None, rng: RngStream | None,
+def sample_fuzzy_gamma(cfg: RelaxationConfig, rng: RngStream | None,
                        phase: Phase) -> float:
     """Resolve the relaxation coefficient for one forward pass of one layer.
 
@@ -73,7 +73,7 @@ def sample_fuzzy_gamma(cfg: RelaxationConfig | None, rng: RngStream | None,
     under train-only mode. Consumes randomness only for fuzzy training draws,
     so non-fuzzy configs stay bit-reproducible against mode "off".
     """
-    if cfg is None or cfg.mode == MODE_OFF:
+    if cfg.mode == MODE_OFF:
         return 0.0
     if phase == Phase.EVAL:
         return cfg.gamma0 if cfg.mode == MODE_MATCHED else 0.0
@@ -83,6 +83,11 @@ def sample_fuzzy_gamma(cfg: RelaxationConfig | None, rng: RngStream | None,
         draw = rng.normal(mean=cfg.gamma0, std=math.sqrt(cfg.sigma2))
         return min(1.0, max(0.0, draw))
     return cfg.gamma0
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"relaxation coefficient must be in [0, 1], got {gamma}")
 
 
 def _relax(g: np.ndarray, gamma: float):
@@ -109,8 +114,7 @@ def relax_weights(g: Tensor, gamma: float) -> Tensor:
     g + gamma * (1/L - g), which is exact when a row is already uniform
     (e.g. a single key position) for any gamma.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"relaxation coefficient must be in [0, 1], got {gamma}")
+    _check_gamma(gamma)
     if gamma == 0.0:
         return g
     return _unary(g, *_relax(g.data, gamma))
@@ -231,14 +235,11 @@ class KvCache:
 
 
 def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
-                         relax: RelaxationConfig | None = None,
-                         dropout_p: float = 0.0,
+                         gamma: float = 0.0, dropout_p: float = 0.0,
                          rng: RngStream | None = None,
                          phase: Phase = Phase.EVAL, *,
-                         gamma_rng: RngStream | None = None,
                          bias: Tensor | np.ndarray | None = None,
                          scale: float | None = None,
-                         gamma_out: list | None = None,
                          cache: KvCache | None = None) -> Tensor:
     """The attention kernel: logits, softmax, relaxation, dropout, values.
 
@@ -247,23 +248,20 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
     logits Q W_q (KV W_k)^T are scaled by 1/sqrt(d_model) (or `scale`), plus
     the additive `bias`: the decoder's causal mask array or the windowed
     variant's position-bias Tensor. q/kv may carry leading batch axes. One
-    relaxation coefficient per call, shared by every head and batch element;
-    fuzzy draws come from gamma_rng only, so they never perturb the dropout
-    stream rng. gamma_out collects an active site's coefficient. The
+    relaxation coefficient gamma per call, shared by every head and batch
+    element; the model resolves it per layer and phase. The
     sublayer is one node: q, kv, the projections and a Tensor bias are its
     parents. With a cache, keys and values come from, and go into, a
     decoding KvCache, and the call is forward-only: its result has no
     parents, whether taping is on or not.
     """
+    _check_gamma(gamma)
     d, n_heads = params.d_model, params.n_heads
     if q.shape[-1] != d or kv.shape[-1] != d:
         raise ShapeError(f"q/kv feature dims {q.shape[-1]}/{kv.shape[-1]} "
                          f"must equal model dim {d}")
     w_q, w_k, w_v, w_o = (w.data for w in params.tensors().values())
     kh, vh = (cache or KvCache()).keys_values(kv, params)  # no cache: fresh
-    gamma = sample_fuzzy_gamma(relax, gamma_rng, phase)
-    if gamma_out is not None and relax is not None and relax.mode != MODE_OFF:
-        gamma_out.append(gamma)
     scale = 1.0 / math.sqrt(d) if scale is None else scale
     qh = _split_heads(q.data @ w_q, n_heads)
     logits = qh @ np.ascontiguousarray(np.swapaxes(kh, -1, -2))
@@ -388,10 +386,7 @@ def window_merge(x: Tensor, m: int, h: int, w: int) -> Tensor:
 
 
 def windowed_mha(x: Tensor, params: WindowAttnParams,
-                 relax: RelaxationConfig | None = None,
-                 phase: Phase = Phase.EVAL, *,
-                 gamma_rng: RngStream | None = None,
-                 gamma_out: list | None = None) -> Tensor:
+                 gamma: float = 0.0) -> Tensor:
     """Self-attention within non-overlapping m x m windows, without dropout.
 
     Logits get the relative position bias added before normalization and are
@@ -402,7 +397,6 @@ def windowed_mha(x: Tensor, params: WindowAttnParams,
     m = params.window
     windows = window_partition(x, m)
     out = multi_head_attention(
-        windows, windows, params.mha, relax=relax, phase=phase,
-        gamma_rng=gamma_rng, bias=position_bias(params),
-        scale=1.0 / math.sqrt(c / 4.0), gamma_out=gamma_out)
+        windows, windows, params.mha, gamma, bias=position_bias(params),
+        scale=1.0 / math.sqrt(c / 4.0))
     return window_merge(out, m, h, w)

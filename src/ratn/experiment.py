@@ -149,6 +149,9 @@ class ExperimentSpec:
             raise ValueError("beam must be >= 1")
         if self.eos_margin < 0:  # a source would stop while it can still improve
             raise ValueError(f"eos_margin must be >= 0, got {self.eos_margin}")
+        if self.gamma_grid is not None and not isinstance(self.gamma_grid, dict):
+            raise ValueError("gamma_grid must map each site to its gammas, got "
+                             f"{type(self.gamma_grid).__name__}")
         row = TASKS[self.task]
         sites = {s.site for s in self.relax_grid} - {"none"}
         for site in sorted(sites | set(self.gamma_grid or ())):
@@ -166,6 +169,10 @@ class ExperimentSpec:
             except ValueError:  # a model check may hinge on the data's sizes
                 if name != "model":
                     raise
+        relax_keys = sorted(k for k in self.model if k.startswith("relax_"))
+        if relax_keys:
+            raise ValueError(f"model may not set {relax_keys}; relaxation "
+                             "settings go in relax_grid")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":

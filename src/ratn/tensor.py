@@ -1,7 +1,7 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Covers exactly the operations the models need; the operator sugar is
-t + x, t * x, -t and t @ u, always with a Tensor on the left. Each operation
+t + x, t * x and t @ u, always with a Tensor on the left. Each operation
 records its inputs and a vector-Jacobian closure on the output node;
 backward() walks the resulting DAG once per call and accumulates into .grad
 of the leaves (tensors with no recorded operation, e.g. parameters), so
@@ -79,9 +79,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -142,10 +139,6 @@ def add(a: Tensor, b) -> Tensor:
                                              _unbroadcast(g, b.shape)))
     bc = _const(b)
     return _node(a.data + bc, (a,), lambda g: (_unbroadcast(g, a.shape),))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a,), lambda g: (-g,))
 
 
 def mul(a: Tensor, b) -> Tensor:

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (KvCache, MhaParams, Phase, RelaxationConfig,
-                        _dropout_mask, causal_mask, dropout,
-                        multi_head_attention)
+from .attention import (MODE_OFF, KvCache, MhaParams, Phase,
+                        RelaxationConfig, _dropout_mask, causal_mask, dropout,
+                        multi_head_attention, sample_fuzzy_gamma)
 from .rng import RngStream
 from .tensor import (Module, Tensor, _linear_vjp, _node, _unbroadcast,
                      embedding, matmul, mul, residual_norm, softmax_rows)
@@ -230,6 +230,14 @@ class Seq2SeqModel(Module):
 
     # -- forward pieces ----------------------------------------------------
 
+    def _layer_gammas(self, site: str, relax: RelaxationConfig, n: int,
+                      phase: Phase) -> list[float]:
+        """A site's n per-layer coefficients for this forward, in layer order;
+        last_gammas[site] records them, or [] when the site is off."""
+        gammas = [sample_fuzzy_gamma(relax, self._rng_gamma, phase) for _ in range(n)]
+        self.last_gammas[site] = [] if relax.mode == MODE_OFF else gammas
+        return gammas
+
     def _embed(self, table: Tensor, tokens: np.ndarray, phase: Phase,
                offset: int = 0) -> Tensor:
         length = offset + tokens.shape[-1]
@@ -244,13 +252,11 @@ class Seq2SeqModel(Module):
         """Encode source tokens ([T] or [B, T]) into [.., T, d_model]."""
         cfg, rng, p = self.config, self._rng_dropout, self.config.dropout_residual
         arr = check_token_sequence(tokens, cfg.vocab_size)
-        self.last_gammas["self"] = []
         x = self._embed(self.emb_enc, arr, phase)
-        for blk in self.enc_blocks:
-            a = multi_head_attention(
-                x, x, blk.attn, relax=cfg.relax_self,
-                dropout_p=cfg.dropout_attention, rng=rng, phase=phase,
-                gamma_rng=self._rng_gamma, gamma_out=self.last_gammas["self"])
+        gammas = self._layer_gammas("self", cfg.relax_self, cfg.n_enc, phase)
+        for blk, gamma in zip(self.enc_blocks, gammas):
+            a = multi_head_attention(x, x, blk.attn, gamma, cfg.dropout_attention,
+                                     rng, phase)
             x = blk.ln1(x, a, p, rng, phase)
             f = blk.ff(x, cfg.dropout_activation, rng, phase)
             x = blk.ln2(x, f, p, rng, phase)
@@ -265,9 +271,9 @@ class Seq2SeqModel(Module):
         """
         cfg, rng, p = self.config, self._rng_dropout, self.config.dropout_residual
         mask = causal_mask(y.shape[-2]) if state is None else None
-        self.last_gammas["cross"] = []
+        gammas = self._layer_gammas("cross", cfg.relax_cross, cfg.n_dec, phase)
         x = y
-        for i, blk in enumerate(self.dec_blocks):
+        for i, (blk, gamma) in enumerate(zip(self.dec_blocks, gammas)):
             self_cache, cross_cache = (state.caches[i] if state is not None
                                        else (None, None))
             a = multi_head_attention(
@@ -275,9 +281,7 @@ class Seq2SeqModel(Module):
                 rng=rng, phase=phase, cache=self_cache)
             x = blk.ln1(x, a, p, rng, phase)
             c = multi_head_attention(
-                x, h, blk.cross_attn, relax=cfg.relax_cross,
-                dropout_p=cfg.dropout_attention, rng=rng, phase=phase,
-                gamma_rng=self._rng_gamma, gamma_out=self.last_gammas["cross"],
+                x, h, blk.cross_attn, gamma, cfg.dropout_attention, rng, phase,
                 cache=cross_cache)
             x = blk.ln2(x, c, p, rng, phase)
             f = blk.ff(x, cfg.dropout_activation, rng, phase)

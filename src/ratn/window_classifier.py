@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (Phase, RelaxationConfig, WindowAttnParams, windowed_mha)
+from .attention import (MODE_OFF, Phase, RelaxationConfig, WindowAttnParams,
+                        sample_fuzzy_gamma, windowed_mha)
 from .rng import RngStream
 from .tensor import Module, Tensor, matmul, no_grad, softmax_rows
 from .training import TrainConfig, fit, label_smoothed_nll
@@ -63,12 +64,11 @@ class WindowClassifier(Module):
 
     def forward(self, x, phase: Phase = Phase.EVAL) -> Tensor:
         """Class probabilities for grids x of shape [.., h, w, c]."""
-        cfg = self.config
+        relax = self.config.relax_window
         t = x if isinstance(x, Tensor) else Tensor(x)
-        self.last_gammas["window"] = []
-        a = windowed_mha(t, self.attn, relax=cfg.relax_window, phase=phase,
-                         gamma_rng=self._rng_gamma,
-                         gamma_out=self.last_gammas["window"])
+        gamma = sample_fuzzy_gamma(relax, self._rng_gamma, phase)
+        self.last_gammas["window"] = [] if relax.mode == MODE_OFF else [gamma]
+        a = windowed_mha(t, self.attn, gamma)
         pooled = self.ln(t, a).mean(axis=(-3, -2))
         return softmax_rows(matmul(pooled, self.head_w) + self.head_b)
 

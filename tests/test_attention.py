@@ -46,9 +46,14 @@ def test_relax_worked_row():
 
 
 def test_relax_validation():
+    # relax_weights and the kernel reject a gamma outside [0, 1] alike
     g = Tensor(random_stochastic_rows(RngStream(2, "t"), (2, 3)))
-    with pytest.raises(ValueError):
-        relax_weights(g, 1.2)
+    x = Tensor(RngStream(41, "t").normal((3, 4)))
+    params = MhaParams.init(4, 2, RngStream(40, "init"))
+    for relax in (lambda: relax_weights(g, 1.2),
+                  lambda: multi_head_attention(x, x, params, 1.2)):
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\], got 1.2"):
+            relax()
 
 
 def test_relax_simplex_and_bounds_property():
@@ -136,7 +141,6 @@ def test_fuzzy_gamma_eval_train_only_is_zero():
 def test_fuzzy_gamma_off_mode():
     cfg = RelaxationConfig(gamma0=0.5, mode="off")
     assert sample_fuzzy_gamma(cfg, None, Phase.TRAIN) == 0.0
-    assert sample_fuzzy_gamma(None, None, Phase.TRAIN) == 0.0
 
 
 def test_fuzzy_gamma_train_draw_statistics():
@@ -231,9 +235,7 @@ def test_mha_single_key_position():
     kv = Tensor(rng.normal((1, 4)))
     expected = np.broadcast_to(kv.data @ params.w_v.data @ params.w_o.data, (3, 4))
     for gamma in (0.0, 0.4, 1.0):
-        relax = RelaxationConfig(gamma0=gamma, mode="matched")
-        out = multi_head_attention(q, kv, params, relax=relax,
-                                   phase=Phase.EVAL)
+        out = multi_head_attention(q, kv, params, gamma)
         assert rel_err(out.data, expected) < 1e-12
 
 
@@ -241,23 +243,11 @@ def test_mha_gamma_one_ignores_query():
     rng = RngStream(15, "t")
     params = MhaParams.init(4, 2, RngStream(16, "init"))
     kv = Tensor(rng.normal((5, 4)))
-    relax = RelaxationConfig(gamma0=1.0, mode="matched")
-    out1 = multi_head_attention(Tensor(rng.normal((2, 4))), kv, params,
-                                relax=relax, phase=Phase.EVAL)
-    out2 = multi_head_attention(Tensor(rng.normal((2, 4))), kv, params,
-                                relax=relax, phase=Phase.EVAL)
+    out1 = multi_head_attention(Tensor(rng.normal((2, 4))), kv, params, 1.0)
+    out2 = multi_head_attention(Tensor(rng.normal((2, 4))), kv, params, 1.0)
     assert np.abs(out1.data - out2.data).max() < 1e-12
     expected = (kv.data @ params.w_v.data).mean(axis=0) @ params.w_o.data
     assert rel_err(out1.data, np.broadcast_to(expected, (2, 4))) < 1e-12
-
-
-def test_mha_fuzzy_draws_never_come_from_the_dropout_stream():
-    params = MhaParams.init(4, 2, RngStream(40, "init"))
-    x = Tensor(RngStream(41, "t").normal((3, 4)))
-    relax = RelaxationConfig(gamma0=0.1, sigma2=0.0009, mode="matched", fuzzy=True)
-    with pytest.raises(ValueError, match="fuzzy relaxation needs an RngStream"):
-        multi_head_attention(x, x, params, relax=relax,
-                             rng=RngStream(42, "dropout"), phase=Phase.TRAIN)
 
 
 def test_mha_self_attention_aliasing_equivalence():
@@ -274,13 +264,11 @@ def test_mha_gradient_with_relaxation():
     rng = RngStream(21, "t")
     params = MhaParams.init(8, 2, RngStream(22, "init"))
     kv = Tensor(rng.normal((5, 8)))
-    relax = RelaxationConfig(gamma0=0.3, mode="matched")
     w = rng.normal((5, 8))
     q = Tensor(rng.normal((5, 8)), requires_grad=True)
 
     def f(t):
-        return (multi_head_attention(t, kv, params, relax=relax,
-                                     phase=Phase.EVAL) * w).sum()
+        return (multi_head_attention(t, kv, params, 0.3) * w).sum()
 
     backward(f(q))
     assert rel_err(q.grad, finite_diff_grad(f, q)) < 1e-5
@@ -299,11 +287,10 @@ def test_attention_gradients_match_finite_differences(gamma, phase):
     kv = Tensor(rng.normal((2, 4, d)), requires_grad=True)
     x = Tensor(rng.normal((2, 4, d)), requires_grad=True)
     probe_q, probe_x = rng.normal((2, 3, d)), rng.normal((2, 4, d))
-    relax = RelaxationConfig(gamma0=gamma, mode="matched")
     p = 0.1 if phase == Phase.TRAIN else 0.0
 
     def attend(a, b, seed, bias=None):
-        return multi_head_attention(a, b, params, relax=relax, dropout_p=p,
+        return multi_head_attention(a, b, params, gamma, dropout_p=p,
                                     rng=RngStream(seed, "dropout"), phase=phase,
                                     bias=bias)
 
@@ -314,7 +301,7 @@ def test_attention_gradients_match_finite_differences(gamma, phase):
     if phase == Phase.TRAIN:  # the mask drops something
         assert not np.array_equal(attend(q, kv, 52).data,
                                   multi_head_attention(q, kv, params,
-                                                       relax).data)
+                                                       gamma).data)
     leaves = [q, kv, x, *params.tensors().values()]
     for leaf in leaves:
         leaf.grad = None
@@ -334,10 +321,9 @@ def test_windowed_attention_gradients_match_finite_differences(gamma, phase):
     rng = RngStream(55, "t")
     x = Tensor(rng.normal((2, 4, 4, 8)), requires_grad=True)
     probe = rng.normal((2, 4, 4, 8))
-    relax = RelaxationConfig(gamma0=gamma, mode="matched")
 
     def loss():
-        return (windowed_mha(x, params, relax, phase) * probe).sum()
+        return (windowed_mha(x, params, gamma) * probe).sum()
 
     leaves = [x, *params.tensors().values()]
     for leaf in leaves:
@@ -356,21 +342,20 @@ def test_cached_attention_call_is_forward_only():
     params = MhaParams.init(d, 2, RngStream(58, "init"))
     x = rng.normal((3, 5, d))
     h = Tensor(rng.normal((3, 5, d)), requires_grad=True)
-    relax = RelaxationConfig(gamma0=0.3, mode="matched")
     static, self_cache = KvCache(static=True), KvCache()
     for t in range(5):
         q = x[:, t:t + 1]
         cross = multi_head_attention(Tensor(q, requires_grad=True), h, params,
-                                     relax, cache=static)
+                                     0.3, cache=static)
         step = multi_head_attention(Tensor(q, requires_grad=True), Tensor(q),
-                                    params, relax, cache=self_cache)
+                                    params, 0.3, cache=self_cache)
         for out in (cross, step):
             assert out._parents == () and out._vjp is None
             assert not out.requires_grad
-        plain = multi_head_attention(Tensor(q), h, params, relax)
+        plain = multi_head_attention(Tensor(q), h, params, 0.3)
         assert np.array_equal(cross.data, plain.data)
         prefix = multi_head_attention(Tensor(q), Tensor(x[:, :t + 1]),
-                                      params, relax)
+                                      params, 0.3)
         assert np.abs(step.data - prefix.data).max() < 1e-14
 
 
@@ -431,14 +416,13 @@ def test_attention_node_matches_generic_op_oracle(site, gamma, phase):
             if bias_kind == "full" else None)
     p = 0.2 if phase == Phase.TRAIN else 0.0
     scale = 0.4
-    relax = RelaxationConfig(gamma0=gamma, mode="matched")
 
     def bias():
         if bias_kind == "causal":
             return causal_mask(q_shape[-2])
         return position_bias(params) if bias_kind == "table" else full
 
-    fused = multi_head_attention(q, kv, mha, relax=relax, dropout_p=p,
+    fused = multi_head_attention(q, kv, mha, gamma, dropout_p=p,
                                  rng=RngStream(62, "dropout"), phase=phase,
                                  bias=bias(), scale=scale)
     keep = _dropout_mask(logits_shape, p, RngStream(62, "dropout"), phase)
@@ -508,7 +492,7 @@ def test_windowed_mha_zero_bias_matches_plain_window_attention():
     params = WindowAttnParams.init(4, 2, 2, RngStream(26, "init"))
     params.bias_table.data[:] = 0.0
     x = rng.normal((4, 4, 4))
-    out = windowed_mha(Tensor(x), params, phase=Phase.EVAL)
+    out = windowed_mha(Tensor(x), params)
     # reference: per-window MHA with the 1/sqrt(c/4) scale
     ref = np.empty_like(x)
     for wi, (r, c) in enumerate([(0, 0), (0, 2), (2, 0), (2, 2)]):
@@ -524,8 +508,7 @@ def test_windowed_mha_gamma_one_is_window_mean():
     c, m = 6, 2
     params = WindowAttnParams.init(c, 2, m, RngStream(28, "init"))
     x = rng.normal((4, 4, c))
-    relax = RelaxationConfig(gamma0=1.0, mode="matched")
-    out = windowed_mha(Tensor(x), params, relax=relax, phase=Phase.EVAL).data
+    out = windowed_mha(Tensor(x), params, 1.0).data
     for r, col in [(0, 0), (0, 2), (2, 0), (2, 2)]:
         win = x[r:r + m, col:col + m, :].reshape(m * m, c)
         vbar = (win @ params.mha.w_v.data).mean(axis=0)
@@ -544,7 +527,7 @@ def test_windowed_mha_bias_table_gradient():
         saved = params.bias_table
         params.bias_table = table
         try:
-            return (windowed_mha(x, params, phase=Phase.EVAL) * w).sum()
+            return (windowed_mha(x, params) * w).sum()
         finally:
             params.bias_table = saved
 
@@ -552,20 +535,3 @@ def test_windowed_mha_bias_table_gradient():
     backward(f(params.bias_table))
     fd = finite_diff_grad(f, params.bias_table)
     assert rel_err(params.bias_table.grad, fd) < 1e-5
-
-
-def test_windowed_mha_fuzzy_draws_one_gamma_per_forward():
-    params = WindowAttnParams.init(4, 2, 2, RngStream(31, "init"))
-    relax = RelaxationConfig(gamma0=0.1, sigma2=0.0009, mode="matched", fuzzy=True)
-    x = Tensor(RngStream(32, "t").normal((4, 4, 4)))
-    gammas = []
-    rng = RngStream(33, "fuzzy-gamma")
-    for _ in range(3):
-        windowed_mha(x, params, relax=relax, phase=Phase.TRAIN,
-                     gamma_rng=rng, gamma_out=gammas)
-    assert len(gammas) == 3
-    assert len(set(gammas)) == 3  # fresh draw per forward pass
-    eval_gammas = []
-    windowed_mha(x, params, relax=relax, phase=Phase.EVAL,
-                 gamma_out=eval_gammas)
-    assert eval_gammas == [0.1]

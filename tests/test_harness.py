@@ -467,6 +467,23 @@ def test_no_module_compares_a_task_to_a_task_name():
     assert found == []
 
 
+def test_only_the_models_resolve_fuzzy_gammas():
+    # The models own the per-layer gamma policy; the kernel takes a float
+    import ast
+    from pathlib import Path
+
+    import ratn
+    found = []
+    for path in sorted(Path(ratn.__file__).parent.glob("*.py")):
+        if path.name in ("transformer.py", "window_classifier.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "sample_fuzzy_gamma" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_window_classify_experiment(tmp_path):
     spec = ExperimentSpec(
         task="window_classify",
@@ -826,10 +843,14 @@ def test_cli_exits_naming_a_spec_that_does_not_load(tmp_path, monkeypatch,
      "the baseline (site 'none') takes no gamma, sigma2 or fuzzy"),
     ("train", {"train": {**FAST_TRAIN, "eval_every": 0}},
      "eval_every must be >= 1, got 0"),
+    ("experiment", {"gamma_grid": ["self"]},
+     "gamma_grid must map each site to its gammas, got list"),
+    ("experiment", {"model": {**FAST_MODEL, "relax_self": {"gamma0": 0.1}}},
+     "model may not set ['relax_self']; relaxation settings go in relax_grid"),
 ], ids=["copy_window_setting", "window_cross_setting", "sweep_window_grid",
         "sweep_grid_without_zero", "experiment_grid_without_zero",
         "sweep_gamma_above_one", "negative_eos_margin", "baseline_with_gamma",
-        "eval_every_zero"])
+        "eval_every_zero", "gamma_grid_not_a_mapping", "relax_key_in_model"])
 def test_cli_rejects_a_bad_spec_before_building_data(tmp_path, monkeypatch,
                                                      command, fields, error):
     import ratn.cli as cli_mod

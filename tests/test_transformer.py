@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import assert_matches_oracle, fd_grad, layer_norm, rel_err, relu
-from ratn.attention import Phase, RelaxationConfig, _dropout_mask
+from ratn.attention import (Phase, RelaxationConfig, _dropout_mask,
+                            sample_fuzzy_gamma)
 from ratn.rng import RngStream
 from ratn.tensor import Tensor, add, backward, finite_diff_grad, matmul, mul
 from ratn.training import label_smoothed_nll, teacher_forcing_pair
@@ -126,7 +127,7 @@ def test_causality_zero_gradient_to_future_embeddings():
         probs = model._decode_from_embeddings(h, emb, Phase.EVAL)
         pick = np.zeros(probs.shape)
         pick[pos, 4] = 1.0  # selects probability (pos, 4)
-        backward(-(probs * pick).sum())
+        backward((probs * -pick).sum())
         future = emb.grad[pos + 1:]
         assert np.all(future == 0.0)
         assert np.abs(emb.grad[: pos + 1]).max() > 0
@@ -304,6 +305,29 @@ def test_dropout_draws_are_reproducible_across_models():
     pa = a.forward_teacher_forced(x, y, Phase.TRAIN).data
     pb = b.forward_teacher_forced(x, y, Phase.TRAIN).data
     assert np.array_equal(pa, pb)
+
+
+def test_fuzzy_gammas_come_per_layer_from_their_own_stream():
+    # One TRAIN forward draws n_enc self then n_dec cross coefficients, in
+    # layer order, from the fuzzy-gamma stream. The dropout stream ends where
+    # an unrelaxed twin's does, and an off site records no coefficient.
+    fuzzy = RelaxationConfig(0.1, sigma2=0.0009, mode="matched", fuzzy=True)
+    cfg = dataclasses.replace(TINY, n_enc=2, n_dec=3, dropout_residual=0.1,
+                              dropout_activation=0.1, dropout_attention=0.1)
+    relaxed = Seq2SeqModel(dataclasses.replace(
+        cfg, relax_self=fuzzy, relax_cross=fuzzy), seed=5)
+    self_only = Seq2SeqModel(dataclasses.replace(cfg, relax_self=fuzzy), seed=5)
+    plain = Seq2SeqModel(cfg, seed=5)
+    for model in (relaxed, self_only, plain):
+        model.forward_teacher_forced([3, 4, 5], [BOS_ID, 6, 7], Phase.TRAIN)
+    stream = RngStream(5, "fuzzy-gamma")
+    draws = [sample_fuzzy_gamma(fuzzy, stream, Phase.TRAIN) for _ in range(5)]
+    assert len(set(draws)) == 5
+    assert relaxed.last_gammas == {"self": draws[:2], "cross": draws[2:]}
+    assert self_only.last_gammas == {"self": draws[:2], "cross": []}
+    assert plain.last_gammas == {"self": [], "cross": []}
+    np.testing.assert_equal(relaxed._rng_dropout._gen.bit_generator.state,
+                            plain._rng_dropout._gen.bit_generator.state)
 
 
 # ---------------------------------------------------------------------------
