@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngStream
-from .tensor import (ShapeError, Tensor, _const, _linear_vjp, _node, _softmax,
-                     _unary, _unbroadcast, embedding, mul, reshape, transpose)
+from .tensor import (ShapeError, Tensor, _apply_dropout, _const, _linear_vjp,
+                     _node, _softmax, _unary, _unbroadcast, embedding,
+                     reshape, transpose)
 
 # Additive sentinel for masked logits. Large but finite: exp(sentinel - max)
 # underflows to exactly 0, so masked positions get zero weight and zero
@@ -121,16 +122,19 @@ def relax_weights(g: Tensor, gamma: float) -> Tensor:
 
 
 def _dropout_mask(shape, p: float, rng: RngStream | None,
-                  phase: Phase) -> np.ndarray | None:
-    """Inverted-dropout multiplier, (u < 1-p) * (1/(1-p)) in one pass, or
-    None in eval and at p == 0."""
+                  phase: Phase) -> tuple[np.ndarray, float] | None:
+    """Inverted dropout's draw: the boolean keep mask k, one byte per entry,
+    and the survivor scale s = 1/(1-p); None in eval and at p == 0. A
+    consumer multiplies by k and then by s. k * s is 0.0 or s, so
+    (x * k) * s == x * (k * s) for every float x, the float multiplier's
+    result bit for bit."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if phase == Phase.EVAL or p == 0.0:
         return None
     if rng is None:
         raise ValueError("dropout needs an RngStream in training")
-    return rng.bernoulli_mask(shape, 1.0 - p) * (1.0 / (1.0 - p))
+    return rng.bernoulli_mask(shape, 1.0 - p), 1.0 / (1.0 - p)
 
 
 def dropout(g: Tensor, p: float, rng: RngStream | None, phase: Phase) -> Tensor:
@@ -142,7 +146,10 @@ def dropout(g: Tensor, p: float, rng: RngStream | None, phase: Phase) -> Tensor:
     probabilities. p == 0 draws no randomness.
     """
     mask = _dropout_mask(g.shape, p, rng, phase)
-    return g if mask is None else mul(g, mask)
+    if mask is None:
+        return g
+    return _unary(g, _apply_dropout(g.data, mask),
+                  lambda gg: _apply_dropout(gg, mask))
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -271,10 +278,10 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
     a, weights_vjp = _softmax(logits)
     if gamma != 0.0:
         a, relax_vjp = _relax(a, gamma)
-    keep = _dropout_mask(a.shape, dropout_p, rng, phase)
-    if keep is not None:
-        a = a * keep
-    heads = _merge_heads(a @ vh)
+    # the pullback rebuilds the dropped weights from a rather than hold them:
+    # Chen et al. 2016's store-or-recompute trade, for two multiplies
+    mask = _dropout_mask(a.shape, dropout_p, rng, phase)
+    heads = _merge_heads(_apply_dropout(a, mask) @ vh)
     if cache is not None:
         return Tensor(heads @ w_o)
     parents = (q, kv, *params.tensors().values())
@@ -288,8 +295,9 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
         # gl, this pullback's own array, runs back from the weights to the
         # logits; one name, so each stage frees the one before
         gl = _unbroadcast(go @ vt, a.shape)
-        if keep is not None:
-            gl *= keep
+        if mask is not None:
+            gl *= mask[0]
+            gl *= mask[1]
         if gamma != 0.0:
             gl = relax_vjp(gl)
         gl = weights_vjp(gl)
@@ -302,7 +310,8 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
         gq, g_wq = _linear_vjp(q.data, w_q,
                                _merge_heads(_unbroadcast(gl @ kh, qh.shape)))
         gk = _unbroadcast(np.swapaxes(gl, -1, -2) @ qh, kh.shape)
-        gv = _unbroadcast(np.swapaxes(a, -1, -2) @ go, vh.shape)
+        gv = _unbroadcast(np.swapaxes(_apply_dropout(a, mask), -1, -2) @ go,
+                          vh.shape)
         gkv_k, g_wk = _linear_vjp(kv.data, w_k, _merge_heads(gk))
         gkv_v, g_wv = _linear_vjp(kv.data, w_v, _merge_heads(gv))
         grads = [gq, gkv_k + gkv_v, g_wq, g_wk, g_wv, g_wo]

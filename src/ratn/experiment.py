@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -436,6 +437,11 @@ def resolve_gamma_grid(spec: ExperimentSpec) -> dict[str, list[float]]:
     format of the setting label and the CSV. ExperimentSpec checks a given
     grid; provenance reports the default."""
     given = TASKS[spec.task].gamma_grid if spec.gamma_grid is None else spec.gamma_grid
+    for site, gammas in given.items():
+        if not isinstance(gammas, (list, tuple)) or not all(
+                isinstance(g, numbers.Real) and not isinstance(g, bool) for g in gammas):
+            raise ValueError(f"gamma_grid[{site!r}] must be a list of numbers, "
+                             f"got {type(gammas).__name__} {gammas!r}")
     grid = {site: [float(g) for g in gammas] for site, gammas in given.items()}
     if not grid:
         raise ValueError("gamma_grid must name at least one site")

@@ -44,8 +44,9 @@ class no_grad:
 class Tensor:
     """A float64 array with an optional gradient buffer.
 
-    Data is immutable by convention after construction; only .grad is
-    mutated (by backward/zero_grad/optimizers).
+    Operations never write into an input's data. A parameter's data is a
+    view of the optimizer's flat vector during training (training.AdamState)
+    and is updated in place; .grad is set by backward and zero_grad.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
@@ -279,33 +280,46 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _unary(a, *_softmax(a.data))
 
 
+def _apply_dropout(x: np.ndarray,
+                   mask: tuple[np.ndarray, float] | None) -> np.ndarray:
+    """x * k * s for a dropout draw (k, s), a boolean mask and its survivor
+    scale, in a new array; x itself for None."""
+    if mask is None:
+        return x
+    out = x * mask[0]
+    out *= mask[1]
+    return out
+
+
 def residual_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
-                  keep: np.ndarray | None = None, eps: float = 1e-6) -> Tensor:
-    """Post-norm residual sublayer as one node: the last axis of x + a * keep
-    normalized to zero mean and unit variance, then gain * . + bias. keep is
-    a dropout multiplier on the sublayer output a (None: no dropout)."""
+                  mask: tuple[np.ndarray, float] | None = None,
+                  eps: float = 1e-6) -> Tensor:
+    """Post-norm residual sublayer as one node: the last axis of x + a * k * s
+    normalized to zero mean and unit variance, then gain * . + bias. mask is
+    a dropout draw (k, s) on the sublayer output a (None: no dropout)."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer norm affine shapes {gain.shape}/{bias.shape} "
                          f"do not match feature dim {d}")
     if a.shape != x.shape:
         raise ShapeError(f"residual shapes disagree: {x.shape} + {a.shape}")
-    s = x.data + (a.data if keep is None else a.data * keep)
-    mu = s.sum(axis=-1, keepdims=True) / d
-    xc = s - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    xhat = x.data + _apply_dropout(a.data, mask)
+    xhat -= xhat.sum(axis=-1, keepdims=True) / d  # centred
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def vjp(g):
         dxhat = g * gain.data
         m1 = dxhat.sum(axis=-1, keepdims=True) / d
         m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
-        ds = inv * (dxhat - m1 - xhat * m2)
+        dxhat -= m1
+        dxhat -= xhat * m2
+        ds = np.multiply(inv, dxhat, out=dxhat)  # inv * (dxhat - m1 - xhat m2)
         lead = tuple(range(g.ndim - 1))
-        return (ds, ds if keep is None else ds * keep,
-                (g * xhat).sum(axis=lead), g.sum(axis=lead))
+        return (ds, _apply_dropout(ds, mask), (g * xhat).sum(axis=lead),
+                g.sum(axis=lead))
 
     return _node(out, (x, a, gain, bias), vjp)
 

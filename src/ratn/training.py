@@ -78,23 +78,33 @@ def label_smoothed_nll(p: Tensor, targets, alpha: float) -> Tensor:
 
 @dataclass
 class AdamState:
-    """Adam's moments, one flat vector each over the parameters in dict
-    order, and the step counter."""
+    """Adam's moments and the parameters, one flat vector each over the
+    parameters in dict order, and the step counter. init() makes every
+    parameter's .data a view of `data`, so adam_step updates them in place."""
 
     m: np.ndarray
     v: np.ndarray
+    data: np.ndarray
+    views: list[np.ndarray]
     step: int = 0
 
     @classmethod
     def init(cls, params: dict[str, Tensor]) -> "AdamState":
-        n = sum(t.size for t in params.values())
-        return cls(m=np.zeros(n), v=np.zeros(n))
+        data = np.concatenate([p.data.reshape(-1) for p in params.values()])
+        views, start = [], 0
+        for p in params.values():
+            p.data = data[start:start + p.size].reshape(p.shape)
+            views.append(p.data)
+            start += p.size
+        return cls(m=np.zeros(data.size), v=np.zeros(data.size), data=data,
+                   views=views)
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, cfg: TrainConfig) -> None:
     """One bias-corrected Adam update over all parameters as one vector (a
-    missing gradient counts as zero); each .data becomes a slice of it.
+    missing gradient counts as zero), subtracted from state.data in place.
+    A parameter whose .data was rebound since init() is copied back in first.
 
     The moments are updated in place, and the step is computed in the
     function's own two vectors (the concatenated gradient and its square),
@@ -125,13 +135,11 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     g2 += cfg.eps
     g *= cfg.lr
     g /= g2  # g is the step
-    del g2  # before the new parameter vector is made
-    data = np.concatenate([p.data.reshape(-1) for p in params.values()])
-    data -= g
-    start = 0
-    for p in params.values():
-        p.data = data[start:start + p.size].reshape(p.shape)
-        start += p.size
+    for p, view in zip(params.values(), state.views):
+        if p.data is not view:
+            view[...] = p.data
+            p.data = view
+    state.data -= g
 
 
 def teacher_forcing_pair(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

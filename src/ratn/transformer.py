@@ -93,8 +93,8 @@ class LayerNormParams:
     def __call__(self, x: Tensor, a: Tensor, p: float = 0.0,
                  rng: RngStream | None = None, phase=Phase.EVAL) -> Tensor:
         """layer_norm(x + dropout(a)): the residual sublayer, one node."""
-        keep = _dropout_mask(a.shape, p, rng, phase)
-        return residual_norm(x, a, self.gain, self.bias, keep)
+        mask = _dropout_mask(a.shape, p, rng, phase)
+        return residual_norm(x, a, self.gain, self.bias, mask)
 
     def tensors(self) -> dict[str, Tensor]:
         return {"gain": self.gain, "bias": self.bias}
@@ -122,17 +122,23 @@ class FeedForward:
                  phase: Phase) -> Tensor:
         """relu(x @ w1 + b1), activation dropout, then @ w2 + b2: one node."""
         w1, w2 = self.w1.data, self.w2.data
-        pre = x.data @ w1 + self.b1.data
-        live = pre > 0
-        h = np.fmax(pre, 0.0) + 0.0  # np.where(live, pre, 0.0), 5x faster
-        keep = _dropout_mask(h.shape, p, rng, phase)
-        if keep is not None:
-            h = h * keep
-            live = live * keep  # the pullback's mask times the multiplier
+        h = x.data @ w1
+        h += self.b1.data
+        live = h > 0
+        # ReLU as np.where(live, h, 0.0), 5x faster: fmax, then -0.0 to 0.0
+        np.fmax(h, 0.0, out=h)
+        h += 0.0
+        mask = _dropout_mask(h.shape, p, rng, phase)
+        if mask is not None:
+            h *= mask[0]
+            h *= mask[1]
+            live &= mask[0]
 
         def vjp(g):
-            gh, gw2 = _linear_vjp(h, w2, g)
-            gpre = gh * live
+            gpre, gw2 = _linear_vjp(h, w2, g)
+            gpre *= live
+            if mask is not None:
+                gpre *= mask[1]
             gx, gw1 = _linear_vjp(x.data, w1, gpre)
             return (gx, gw1, _unbroadcast(gpre, self.b1.shape), gw2,
                     _unbroadcast(g, self.b2.shape))

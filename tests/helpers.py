@@ -1,9 +1,17 @@
 """Shared test utilities, and generic ops the library no longer calls: relu
 and layer_norm, the oracles of the fused sublayer nodes."""
 
+import tracemalloc
+
 import numpy as np
 
+from ratn.attention import Phase, _dropout_mask
+from ratn.experiment import (ExperimentSpec, RelaxSetting, build_task_data,
+                             resolve_model_config)
+from ratn.rng import RngStream
 from ratn.tensor import ShapeError, Tensor, _node, backward, finite_diff_grad
+from ratn.training import label_smoothed_nll, teacher_forcing_pair
+from ratn.transformer import Seq2SeqModel
 
 
 def rel_err(actual, expected) -> float:
@@ -77,3 +85,36 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
     return _node(out, (x, gain, bias), vjp)
+
+
+def dropout_multiplier(shape, p, rng, phase) -> np.ndarray | None:
+    """The float inverted-dropout multiplier k * s of _dropout_mask's draw,
+    the generic-op oracles' operand for mul(); None where it draws none."""
+    mask = _dropout_mask(shape, p, rng, phase)
+    return None if mask is None else mask[0] * mask[1]
+
+
+def desk_forward_graph_bytes() -> int:
+    """Bytes that one Phase.TRAIN forward of the desk model (d=32, 2+2
+    layers, 4 heads, d_ff=64, dropout 0.1 at all three sites, cross gamma
+    0.2 train_only) leaves alive in its graph, loss included, at perfbench's
+    train_step shape: toy_translate, a batch of 32, 9 target positions.
+    Traced with tracemalloc, which sees NumPy's array buffers."""
+    setting = RelaxSetting(site="cross", gamma=0.2, mode="train_only")
+    spec = ExperimentSpec(task="toy_translate", task_params={"data_seed": 1000},
+                          model={"n_enc": 2, "n_dec": 2, "n_heads": 4,
+                                 "d_model": 32, "d_ff": 64},
+                          relax_grid=(setting,))
+    data = build_task_data(spec.task, spec.task_params)
+    model = Seq2SeqModel(resolve_model_config(spec, data, setting), seed=0)
+    idx = RngStream(0, "batch").integers(0, len(data.train), 32)
+    y_in, y_out = teacher_forcing_pair(data.train.targets[idx])
+    sources = data.train.sources[idx]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = label_smoothed_nll(
+            model.forward_teacher_forced(sources, y_in, Phase.TRAIN), y_out, 0.1)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()

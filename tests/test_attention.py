@@ -7,14 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (assert_matches_oracle, fd_grad, rel_err,
-                     random_stochastic_rows)
+from helpers import (assert_matches_oracle, dropout_multiplier, fd_grad,
+                     rel_err, random_stochastic_rows)
 from ratn.attention import (MASK_SENTINEL, KvCache, MhaParams, Phase,
-                            RelaxationConfig, WindowAttnParams, _dropout_mask,
-                            causal_mask, dropout, multi_head_attention,
-                            position_bias, relative_position_index,
-                            relax_weights, sample_fuzzy_gamma, window_merge,
-                            window_partition, windowed_mha)
+                            RelaxationConfig, WindowAttnParams, causal_mask,
+                            dropout, multi_head_attention, position_bias,
+                            relative_position_index, relax_weights,
+                            sample_fuzzy_gamma, window_merge, window_partition,
+                            windowed_mha)
 from ratn.metrics import attention_entropy
 from ratn.rng import RngStream
 from ratn.tensor import (ShapeError, Tensor, add, backward, finite_diff_grad,
@@ -425,7 +425,7 @@ def test_attention_node_matches_generic_op_oracle(site, gamma, phase):
     fused = multi_head_attention(q, kv, mha, gamma, dropout_p=p,
                                  rng=RngStream(62, "dropout"), phase=phase,
                                  bias=bias(), scale=scale)
-    keep = _dropout_mask(logits_shape, p, RngStream(62, "dropout"), phase)
+    keep = dropout_multiplier(logits_shape, p, RngStream(62, "dropout"), phase)
     generic = _generic_attention(q, kv, mha, gamma, keep, bias(), scale)
     leaves = {"q": q, "kv": kv, **params.tensors()}
     if bias_kind != "table":

@@ -845,12 +845,17 @@ def test_cli_exits_naming_a_spec_that_does_not_load(tmp_path, monkeypatch,
      "eval_every must be >= 1, got 0"),
     ("experiment", {"gamma_grid": ["self"]},
      "gamma_grid must map each site to its gammas, got list"),
+    ("sweep-gamma", {"gamma_grid": {"self": "01"}},
+     "gamma_grid['self'] must be a list of numbers, got str '01'"),
+    ("experiment", {"gamma_grid": {"self": 0.1}},
+     "gamma_grid['self'] must be a list of numbers, got float 0.1"),
     ("experiment", {"model": {**FAST_MODEL, "relax_self": {"gamma0": 0.1}}},
      "model may not set ['relax_self']; relaxation settings go in relax_grid"),
 ], ids=["copy_window_setting", "window_cross_setting", "sweep_window_grid",
         "sweep_grid_without_zero", "experiment_grid_without_zero",
         "sweep_gamma_above_one", "negative_eos_margin", "baseline_with_gamma",
-        "eval_every_zero", "gamma_grid_not_a_mapping", "relax_key_in_model"])
+        "eval_every_zero", "gamma_grid_not_a_mapping", "gamma_grid_site_a_string",
+        "gamma_grid_site_a_number", "relax_key_in_model"])
 def test_cli_rejects_a_bad_spec_before_building_data(tmp_path, monkeypatch,
                                                      command, fields, error):
     import ratn.cli as cli_mod

@@ -314,13 +314,26 @@ def test_embedding_pullback_equals_add_at_bit_for_bit(case):
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_dropout_multiplier_equals_the_two_pass_form_bit_for_bit(p):
+    # The draw is the boolean mask k and the scale s = 1/(1-p); applying k
+    # then s, as every consumer does, equals the float multiplier k * s
+    # byte for byte, here on signed zeros, infinities, NaN, subnormals and
+    # values near the largest double.
     shape = (7, 4, 9, 9)
-    one_pass = _dropout_mask(shape, p, RngStream(13, "dropout"), Phase.TRAIN)
-    mask = RngStream(13, "dropout").bernoulli_mask(shape, 1.0 - p)
-    two_pass = mask.astype(np.float64) / (1.0 - p)
-    assert one_pass.dtype == np.float64
-    assert np.array_equal(one_pass, two_pass)
-    assert 0 < np.count_nonzero(one_pass) < one_pass.size
+    keep, scale = _dropout_mask(shape, p, RngStream(13, "dropout"), Phase.TRAIN)
+    assert keep.dtype == np.bool_ and keep.shape == shape
+    assert scale == 1.0 / (1.0 - p)
+    assert np.array_equal(
+        keep, RngStream(13, "dropout").bernoulli_mask(shape, 1.0 - p))
+    assert 0 < np.count_nonzero(keep) < keep.size
+    edge = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                     -5e-324, 2.2e-308, 1.7e308, -1.7e308, 1e300, 3.0, -0.5])
+    x = RngStream(13, "x").normal(shape, 0.0, 1e3)
+    every_other = x.reshape(-1)[::2]  # a view
+    every_other[:] = np.resize(edge, every_other.size)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, 1.7e308 * s
+        two_pass = x * keep
+        two_pass *= scale
+        assert two_pass.tobytes() == (x * (keep * scale)).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (32, 4, 10, 9), (600, 2),

@@ -1,13 +1,14 @@
 """Loss arithmetic, Adam updates, and train-loop contracts."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import rel_err
+from helpers import desk_forward_graph_bytes, rel_err
 from ratn.attention import Phase, RelaxationConfig, relax_weights
 from ratn.decoding import greedy_decode
 from ratn.experiment import (ExperimentSpec, RelaxSetting, build_task_data,
@@ -97,6 +98,27 @@ def test_adam_shape_mismatch():
         adam_step(p, {"w": np.zeros(4)}, state, TrainConfig())
 
 
+def test_adam_updates_views_of_one_vector_in_place():
+    p = {"w": Tensor(np.ones((2, 3)), requires_grad=True),
+         "b": Tensor(np.zeros(3), requires_grad=True)}
+    state = AdamState.init(p)
+    w = p["w"].data
+    assert w.base is state.data and p["b"].data.base is state.data
+    adam_step(p, {"w": np.ones((2, 3)), "b": np.ones(3)}, state,
+              TrainConfig(lr=0.1))
+    assert p["w"].data is w and np.all(w < 1.0)
+
+
+def test_adam_adopts_a_parameter_rebound_since_init():
+    # e.g. values swapped in between steps: the update starts from them
+    p = {"w": Tensor(np.zeros(2), requires_grad=True)}
+    state = AdamState.init(p)
+    p["w"].data = np.array([5.0, -5.0])
+    adam_step(p, {"w": np.zeros(2)}, state, TrainConfig())
+    assert np.array_equal(p["w"].data, [5.0, -5.0])
+    assert p["w"].data.base is state.data
+
+
 def _per_parameter_adam(params, grads, state, cfg):
     """Reference Adam: the same update, one parameter at a time."""
     state["step"] += 1
@@ -183,6 +205,32 @@ def test_train_reproduces_the_golden_loss_trajectory():
     recs = train(model, corpus.sources, corpus.targets, tcfg)
     losses = [r["loss"] for r in recs]
     assert np.allclose(losses, GOLDEN_LOSSES, rtol=1e-12, atol=0.0)
+
+
+# sha256 of the same run's 20 losses as float.hex() strings joined by ",",
+# and of its final parameters' bytes in parameters() order. Recorded while
+# every dropout mask was still a float64 multiplier; the boolean mask and
+# its scale must reproduce them bit for bit.
+GOLDEN_LOSSES_SHA256 = "821ea6c5538b630a4ecb665979307712a107f3ea5e7deb57037b6ab58d812832"
+GOLDEN_PARAMS_SHA256 = "d846753751333e41d02e9c96214a1e79771ea4987ac2dd2f6bf1fbf79393933a"
+
+
+def test_train_reproduces_the_golden_run_bit_for_bit():
+    model, corpus, tcfg = _desk_setup(
+        steps=20, seed=3,
+        relax_cross=RelaxationConfig(gamma0=0.2, mode="train_only"))
+    recs = train(model, corpus.sources, corpus.targets, tcfg)
+    losses = ",".join(float(r["loss"]).hex() for r in recs)
+    params = b"".join(t.data.tobytes() for t in model.parameters().values())
+    assert hashlib.sha256(losses.encode()).hexdigest() == GOLDEN_LOSSES_SHA256
+    assert hashlib.sha256(params).hexdigest() == GOLDEN_PARAMS_SHA256
+
+
+def test_desk_forward_graph_stays_small():
+    # 8,269,144 bytes while the graph held every dropout decision as a
+    # float64 multiplier and the attention node held its dropped weights;
+    # 6,428,104 with boolean masks and the dropped weights rebuilt.
+    assert desk_forward_graph_bytes() < 6_550_000
 
 
 def test_loss_series_is_finite_and_logged():

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import assert_matches_oracle, fd_grad, layer_norm, rel_err, relu
-from ratn.attention import (Phase, RelaxationConfig, _dropout_mask,
-                            sample_fuzzy_gamma)
+from helpers import (assert_matches_oracle, dropout_multiplier, fd_grad,
+                     layer_norm, rel_err, relu)
+from ratn.attention import Phase, RelaxationConfig, sample_fuzzy_gamma
 from ratn.rng import RngStream
 from ratn.tensor import Tensor, add, backward, finite_diff_grad, matmul, mul
 from ratn.training import label_smoothed_nll, teacher_forcing_pair
@@ -401,7 +401,7 @@ def test_feed_forward_matches_generic_op_oracle(lead, phase):
     ff, x, leaves = _ffn_case(_LEADS[lead], rng)
     fused = ff(x, 0.3, RngStream(76, "dropout"), phase)
     h = relu(add(matmul(x, ff.w1), ff.b1))
-    keep = _dropout_mask(h.shape, 0.3, RngStream(76, "dropout"), phase)
+    keep = dropout_multiplier(h.shape, 0.3, RngStream(76, "dropout"), phase)
     if keep is not None:
         h = mul(h, keep)
     assert_matches_oracle(fused, add(matmul(h, ff.w2), ff.b2), leaves,
@@ -414,7 +414,7 @@ def test_residual_norm_matches_generic_op_oracle(lead, phase):
     rng = RngStream(77, lead)
     ln, x, a, leaves = _norm_case(_LEADS[lead], rng)
     fused = ln(x, a, 0.3, RngStream(78, "dropout"), phase)
-    keep = _dropout_mask(a.shape, 0.3, RngStream(78, "dropout"), phase)
+    keep = dropout_multiplier(a.shape, 0.3, RngStream(78, "dropout"), phase)
     dropped = a if keep is None else mul(a, keep)
     assert_matches_oracle(fused, layer_norm(add(x, dropped), ln.gain, ln.bias),
                           leaves, rng.normal(fused.shape))
