@@ -13,7 +13,7 @@ Layout (all integers little-endian):
 Round trips are bit-exact. A JSON sidecar (<path>.json) carries the model
 config and construction seed so a model can be rebuilt from the pair. Both
 files, like every output file of the library, are written through
-write_atomic.
+write_atomic. from_json builds the sidecar's config, and experiment specs.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ import json
 import math
 import os
 import struct
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from .transformer import ModelConfig, Seq2SeqModel
-from .attention import RelaxationConfig
 
 MAGIC = b"RATN"
 VERSION = 1
@@ -36,6 +37,42 @@ VERSION = 1
 
 class CheckpointError(ValueError):
     """Malformed, truncated, or mismatched checkpoint data."""
+
+
+# the JSON values each annotation takes (a float keeps an int as written)
+_KINDS = {int: ("an int", int), float: ("a number", (int, float)),
+          bool: ("a bool", bool), str: ("a string", str),
+          tuple: ("a list", (list, tuple)), dict: ("a mapping", dict)}
+
+
+def json_fields(cls, mapping: dict, prefix: str = "") -> dict:
+    """from_json of each value of a mapping that sets fields of dataclass cls;
+    an unknown key fails. prefix is the mapping's key path and a dot."""
+    hints = typing.get_type_hints(cls)
+    unknown = [key for key in mapping if key not in hints]
+    if unknown:
+        raise ValueError(f"{prefix}{unknown[0]} is not a field of {cls.__name__}")
+    return {key: from_json(hints[key], v, prefix + key) for key, v in mapping.items()}
+
+
+def from_json(hint, value, path: str = ""):
+    """A JSON value at key path checked against a type annotation and built
+    into it: a dataclass from a mapping, a tuple from a list. A bool is not
+    an int; a float keeps an int. A mismatch raises ValueError naming path."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else from_json(args[0], value, path)
+    record = dataclasses.is_dataclass(hint)
+    name, kinds = _KINDS[dict if record else origin or hint]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and hint is not bool):
+        raise ValueError(f"{path or 'the top level'} must be {name}, got {value!r}")
+    if record:
+        return hint(**json_fields(hint, value, f"{path}." if path else ""))
+    if origin is tuple:
+        return tuple(from_json(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if args:  # dict[str, V]
+        return {k: from_json(args[1], v, f"{path}.{k}") for k, v in value.items()}
+    return value
 
 
 def write_atomic(path, content: str | bytes) -> None:
@@ -127,14 +164,11 @@ def load_model(path) -> Seq2SeqModel:
     if not sidecar_path.exists():
         raise CheckpointError(f"no config sidecar at {sidecar_path}")
     sidecar = json.loads(sidecar_path.read_text())
-    config = sidecar["config"]
-    unknown = set(config) - {f.name for f in dataclasses.fields(ModelConfig)}
-    if unknown:
-        raise CheckpointError(f"sidecar config keys that ModelConfig does not "
-                              f"take: {sorted(unknown)}")
-    for site in ("relax_self", "relax_cross"):
-        config[site] = RelaxationConfig(**config[site])
-    model = Seq2SeqModel(ModelConfig(**config), seed=int(sidecar.get("seed", 0)))
+    try:
+        config = from_json(ModelConfig, sidecar["config"], "config")
+    except ValueError as err:
+        raise CheckpointError(f"sidecar {sidecar_path}: {err}") from None
+    model = Seq2SeqModel(config, seed=int(sidecar.get("seed", 0)))
     params = model.parameters()
     missing = set(params) - set(tensors)
     extra = set(tensors) - set(params)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import struct
 import tracemalloc
@@ -207,7 +208,8 @@ def test_checkpoint_sidecar_with_an_unknown_config_key_raises_checkpoint_error(
     sidecar = json.loads(sidecar_path.read_text())
     sidecar["config"]["n_layer"] = 2
     sidecar_path.write_text(json.dumps(sidecar))
-    with pytest.raises(CheckpointError, match=r"does not take: \['n_layer'\]"):
+    with pytest.raises(CheckpointError,
+                       match="config.n_layer is not a field of ModelConfig"):
         load_model(path)
 
 
@@ -324,6 +326,38 @@ def test_experiment_parallel_workers_match_serial(tmp_path):
     assert p1["results"].read_bytes() == p2["results"].read_bytes()
 
 
+def test_cell_workers_start_with_one_blas_thread_and_a_kept_heap(tmp_path,
+                                                                 monkeypatch):
+    import ratn.experiment as exp
+    seen = {}
+
+    class InProcessPool:  # records the environment a worker would start with
+        def __init__(self, workers, mp_context):
+            seen.update(os.environ)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    for var in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_"):
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    run_experiment(fast_spec(tmp_path, train={**FAST_TRAIN, "steps": 2}),
+                   workers=2)
+    assert {v: seen[v] for v in exp.BLAS_THREAD_VARS} == dict.fromkeys(
+        exp.BLAS_THREAD_VARS, "1")
+    assert seen["MALLOC_TRIM_THRESHOLD_"] == str(64 * 2 ** 20)
+    assert seen["MALLOC_MMAP_THRESHOLD_"] == str(32 * 2 ** 20)
+    assert dict(os.environ) == before
+
+
 def test_experiment_summary_aggregates_across_seeds(tmp_path):
     spec = fast_spec(tmp_path, seeds=(0, 1))
     paths = run_experiment(spec)
@@ -354,14 +388,15 @@ def test_spec_rejects_cells_that_would_merge(fields, named):
 
 
 def test_spec_rejects_unknown_train_keys():
-    with pytest.raises(ValueError, match="bad train for 'copy': .*'stpes'"):
+    with pytest.raises(ValueError,
+                       match="train.stpes is not a field of TrainConfig"):
         ExperimentSpec.from_dict({"task": "copy", "train": {"stpes": 3}})
 
 
 @pytest.mark.parametrize("task,key", [("copy", "n_layer"),
                                       ("window_classify", "d_model")])
 def test_spec_rejects_unknown_model_keys(task, key):
-    with pytest.raises(ValueError, match=f"bad model for '{task}': .*'{key}'"):
+    with pytest.raises(ValueError, match=f"model.{key} is not a field of "):
         ExperimentSpec.from_dict({"task": task, "model": {key: 2}})
 
 
@@ -408,7 +443,7 @@ def test_lm_spec_rejects_a_smoothing_constant_that_is_not_positive(k):
 
 
 def test_lm_spec_accepts_only_the_corpora_key():
-    with pytest.raises(TypeError, match="unexpected keyword argument 'corpus'"):
+    with pytest.raises(ValueError, match="lm.corpus is not a field of LmSpec"):
         ExperimentSpec.from_dict({"task": "copy", "lm": {"corpus": "in_domain"}})
 
 
@@ -808,6 +843,20 @@ def _never(*args, **kwargs):
     raise AssertionError("ran past an invalid flag")
 
 
+def test_spec_file_ints_in_float_fields_are_kept_as_written(tmp_path):
+    spec_path = _write_spec(tmp_path, train={**FAST_TRAIN, "steps": 1, "lr": 1},
+                            relax_grid=[{"site": "self", "gamma": 0}],
+                            lm={"corpora": ["in_domain"], "lambda_grid": [0, 0.1]})
+    out = tmp_path / "out"
+    cli_main(["experiment", "--spec", str(spec_path), "--output-dir", str(out)])
+    header = json.loads((out / "results.jsonl").read_text().splitlines()[0])
+    summary = json.loads((out / "summary.json").read_text())["spec"]
+    for spec in (header, summary):
+        kept = [spec["train"]["lr"], spec["relax_grid"][0]["gamma"],
+                spec["lm"]["lambda_grid"][0]]
+        assert kept == [1, 0, 0] and all(type(v) is int for v in kept)
+
+
 @pytest.mark.parametrize("text,error", [
     (json.dumps({"task": "copy", "relax_grid": [{"site": "cross", "gamma": 1.5}]}),
      "gamma0 must be in [0, 1], got 1.5"),
@@ -844,18 +893,47 @@ def test_cli_exits_naming_a_spec_that_does_not_load(tmp_path, monkeypatch,
     ("train", {"train": {**FAST_TRAIN, "eval_every": 0}},
      "eval_every must be >= 1, got 0"),
     ("experiment", {"gamma_grid": ["self"]},
-     "gamma_grid must map each site to its gammas, got list"),
+     "gamma_grid must be a mapping, got ['self']"),
     ("sweep-gamma", {"gamma_grid": {"self": "01"}},
-     "gamma_grid['self'] must be a list of numbers, got str '01'"),
+     "gamma_grid.self must be a list, got '01'"),
     ("experiment", {"gamma_grid": {"self": 0.1}},
-     "gamma_grid['self'] must be a list of numbers, got float 0.1"),
+     "gamma_grid.self must be a list, got 0.1"),
     ("experiment", {"model": {**FAST_MODEL, "relax_self": {"gamma0": 0.1}}},
      "model may not set ['relax_self']; relaxation settings go in relax_grid"),
+    ("experiment", {"seeds": [0.5]}, "seeds[0] must be an int, got 0.5"),
+    ("sweep-gamma", {"seeds": "01"}, "seeds must be a list, got '01'"),
+    ("experiment", {"seeds": [True]}, "seeds[0] must be an int, got True"),
+    ("experiment", {"relax_grid": [{"site": "self", "fuzzy": "no"}]},
+     "relax_grid[0].fuzzy must be a bool, got 'no'"),
+    ("sweep-gamma", {"relax_grid": [{"site": "self", "gamma": "0.1"}]},
+     "relax_grid[0].gamma must be a number, got '0.1'"),
+    ("experiment", {"train": {**FAST_TRAIN, "steps": 2.5}},
+     "train.steps must be an int, got 2.5"),
+    ("sweep-gamma", {"train": {**FAST_TRAIN, "lr": "0.1"}},
+     "train.lr must be a number, got '0.1'"),
+    ("experiment", {"task_params": {**FAST_COPY, "n_train": 16.5}},
+     "task_params.n_train must be an int, got 16.5"),
+    ("sweep-gamma", {"task_params": {**FAST_COPY, "data_seed": 1.5}},
+     "task_params.data_seed must be an int, got 1.5"),
+    ("experiment", {"model": {**FAST_MODEL, "d_model": "32"}},
+     "model.d_model must be an int, got '32'"),
+    ("experiment", {"beam": 2.5}, "beam must be an int, got 2.5"),
+    ("experiment", {"eos_margin": "1"}, "eos_margin must be a number, got '1'"),
+    ("experiment", {"lm": {"corpora": ["in_domain"], "k": "0.5"}},
+     "lm.k must be a number, got '0.5'"),
+    ("experiment", {"output_dir": 3}, "output_dir must be a string, got 3"),
+    ("experiment", {"lm": {"corpora": ["in_domain"], "lambdas": [0.1]}},
+     "lm.lambdas is not a field of LmSpec"),
 ], ids=["copy_window_setting", "window_cross_setting", "sweep_window_grid",
         "sweep_grid_without_zero", "experiment_grid_without_zero",
         "sweep_gamma_above_one", "negative_eos_margin", "baseline_with_gamma",
         "eval_every_zero", "gamma_grid_not_a_mapping", "gamma_grid_site_a_string",
-        "gamma_grid_site_a_number", "relax_key_in_model"])
+        "gamma_grid_site_a_number", "relax_key_in_model", "seed_a_fraction",
+        "seeds_a_string", "seed_a_bool", "fuzzy_a_string", "setting_gamma_a_string",
+        "steps_a_fraction", "lr_a_string", "n_train_a_fraction",
+        "data_seed_a_fraction", "d_model_a_string", "beam_a_fraction",
+        "eos_margin_a_string", "lm_k_a_string", "output_dir_a_number",
+        "unknown_lm_key"])
 def test_cli_rejects_a_bad_spec_before_building_data(tmp_path, monkeypatch,
                                                      command, fields, error):
     import ratn.cli as cli_mod
@@ -870,17 +948,33 @@ def test_cli_rejects_a_bad_spec_before_building_data(tmp_path, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("content", [b"NOPE" + b"\x00" * 16, None],
-                         ids=["bad_magic", "missing"])
+@pytest.mark.parametrize("content,error", [
+    (b"NOPE" + b"\x00" * 16, "bad magic bytes"),
+    (None, "No such file"),
+    ({"n_heads": "4"}, "config.n_heads must be an int, got '4'"),
+    ({"n_enc": 2.0}, "config.n_enc must be an int, got 2.0"),
+    ({"relax_self": {"gamma0": "0.1"}},
+     "config.relax_self.gamma0 must be a number, got '0.1'"),
+], ids=["bad_magic", "missing", "sidecar_n_heads_a_string",
+        "sidecar_n_enc_a_float", "sidecar_gamma0_a_string"])
 def test_cli_decode_exits_naming_a_checkpoint_that_does_not_load(
-        tmp_path, monkeypatch, content):
+        tmp_path, monkeypatch, content, error):
+    # content: the checkpoint's bytes, none, or a saved model's sidecar edits
     import ratn.cli as cli_mod
     monkeypatch.setattr(cli_mod, "build_task_data", _never)
     ckpt = tmp_path / "model.ratn"
-    if content is not None:
+    if isinstance(content, dict):
+        save_model(Seq2SeqModel(ModelConfig(**FAST_MODEL, vocab_size=10,
+                                            max_len=8)), ckpt)
+        sidecar_path = tmp_path / "model.ratn.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["config"].update(content)
+        sidecar_path.write_text(json.dumps(sidecar))
+    elif content is not None:
         ckpt.write_bytes(content)
     with pytest.raises(SystemExit, match=re.escape(f"--checkpoint {ckpt} does "
-                                                   f"not load: ")):
+                                                   f"not load: ") + ".*"
+                       + re.escape(error)):
         cli_main(["decode", "--spec", str(_write_spec(tmp_path)),
                   "--checkpoint", str(ckpt), "--output-dir", str(tmp_path / "out")])
 
