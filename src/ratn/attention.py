@@ -285,8 +285,10 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
     if cache is not None:
         return Tensor(heads @ w_o)
     parents = (q, kv, *params.tensors().values())
+    qd, kvd, bias_shape = q.data, kv.data, None
     if isinstance(bias, Tensor):
         parents += (bias,)
+        bias_shape = bias.shape
 
     def vjp(g):
         g_heads, g_wo = _linear_vjp(heads, w_o, g)
@@ -302,18 +304,18 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
             gl = relax_vjp(gl)
         gl = weights_vjp(gl)
         g_bias = None
-        if isinstance(bias, Tensor):  # taken before gl is scaled in place
-            g_bias = _unbroadcast(gl, bias.shape)
+        if bias_shape is not None:  # taken before gl is scaled in place
+            g_bias = _unbroadcast(gl, bias_shape)
             if g_bias is gl:
                 g_bias = gl.copy()
         gl *= scale
-        gq, g_wq = _linear_vjp(q.data, w_q,
+        gq, g_wq = _linear_vjp(qd, w_q,
                                _merge_heads(_unbroadcast(gl @ kh, qh.shape)))
         gk = _unbroadcast(np.swapaxes(gl, -1, -2) @ qh, kh.shape)
         gv = _unbroadcast(np.swapaxes(_apply_dropout(a, mask), -1, -2) @ go,
                           vh.shape)
-        gkv_k, g_wk = _linear_vjp(kv.data, w_k, _merge_heads(gk))
-        gkv_v, g_wv = _linear_vjp(kv.data, w_v, _merge_heads(gv))
+        gkv_k, g_wk = _linear_vjp(kvd, w_k, _merge_heads(gk))
+        gkv_v, g_wv = _linear_vjp(kvd, w_v, _merge_heads(gv))
         grads = [gq, gkv_k + gkv_v, g_wq, g_wk, g_wv, g_wo]
         if g_bias is not None:
             grads.append(g_bias)

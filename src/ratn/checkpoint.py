@@ -13,7 +13,7 @@ Layout (all integers little-endian):
 Round trips are bit-exact. A JSON sidecar (<path>.json) carries the model
 config and construction seed so a model can be rebuilt from the pair. Both
 files, like every output file of the library, are written through
-write_atomic. from_json builds the sidecar's config, and experiment specs.
+write_atomic. from_json builds the sidecar, and experiment specs.
 """
 
 from __future__ import annotations
@@ -52,6 +52,10 @@ def json_fields(cls, mapping: dict, prefix: str = "") -> dict:
     unknown = [key for key in mapping if key not in hints]
     if unknown:
         raise ValueError(f"{prefix}{unknown[0]} is not a field of {cls.__name__}")
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in mapping
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{prefix}{missing[0]} is missing")
     return {key: from_json(hints[key], v, prefix + key) for key, v in mapping.items()}
 
 
@@ -146,10 +150,18 @@ def read_tensors(path) -> dict[str, np.ndarray]:
     return out
 
 
+@dataclasses.dataclass(frozen=True)
+class Sidecar:
+    """A checkpoint's <path>.json: the model's config and construction seed."""
+
+    config: ModelConfig
+    seed: int = 0
+
+
 def save_model(model: Seq2SeqModel, path) -> None:
     """Write parameters plus a config/seed sidecar at <path>.json."""
     write_tensors(path, {k: t.data for k, t in model.parameters().items()})
-    sidecar = {"config": dataclasses.asdict(model.config), "seed": model.seed}
+    sidecar = dataclasses.asdict(Sidecar(model.config, model.seed))
     write_atomic(str(path) + ".json", json.dumps(sidecar, sort_keys=True, indent=1))
 
 
@@ -163,12 +175,11 @@ def load_model(path) -> Seq2SeqModel:
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise CheckpointError(f"no config sidecar at {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text())
-    try:
-        config = from_json(ModelConfig, sidecar["config"], "config")
+    try:  # not JSON, not a mapping, a missing config, or a mistyped value
+        sidecar = from_json(Sidecar, json.loads(sidecar_path.read_text()))
     except ValueError as err:
         raise CheckpointError(f"sidecar {sidecar_path}: {err}") from None
-    model = Seq2SeqModel(config, seed=int(sidecar.get("seed", 0)))
+    model = Seq2SeqModel(sidecar.config, seed=sidecar.seed)
     params = model.parameters()
     missing = set(params) - set(tensors)
     extra = set(tensors) - set(params)

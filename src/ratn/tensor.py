@@ -2,18 +2,21 @@
 
 Covers exactly the operations the models need; the operator sugar is
 t + x, t * x and t @ u, always with a Tensor on the left. Each operation
-records its inputs and a vector-Jacobian closure on the output node;
-backward() walks the resulting DAG once per call and accumulates into .grad
-of the leaves (tensors with no recorded operation, e.g. parameters), so
-repeated backward calls without a reset add up. Interior nodes keep no
-.grad, and backward drops each one's gradient once it has passed it on. The
-graph lives only as long as the output tensors referencing it.
+records on its output an _Op: the inputs' graph nodes and a vector-Jacobian
+closure that captures arrays, never a Tensor. Children link to the _Op, not
+to the output; a leaf (no recorded operation, e.g. a parameter) is its own
+node. So a value no pullback reads is freed with its tensor, as PyTorch's
+autograd keeps only saved tensors. backward() walks the DAG once per call and
+accumulates into .grad of the leaves, so repeated backward calls without a
+reset add up. Interior nodes keep no .grad, and backward drops each one's
+gradient once it has passed it on.
 The fused sublayer nodes (attention, feed-forward, residual_norm) chain
 the NumPy kernels here, with the generic operations' bits and hand pullbacks.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,17 +49,21 @@ class Tensor:
 
     Operations never write into an input's data. A parameter's data is a
     view of the optimizer's flat vector during training (training.AdamState)
-    and is updated in place; .grad is set by backward and zero_grad.
+    and is updated in place; .grad is set by backward and zero_grad. An
+    operation's output holds its graph node, an _Op (read by _parents and
+    _vjp); the node does not hold the output.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple] | None = None
+        self._op: _Op | None = None
+
+    _parents = property(lambda self: self._op._parents if self._op else ())
+    _vjp = property(lambda self: self._op._vjp if self._op else None)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -98,12 +105,21 @@ class Module:
             t.grad = None
 
 
+@dataclass(slots=True, eq=False)
+class _Op:
+    """An interior graph node without its value: the parents' graph nodes
+    (leaf Tensors and _Ops) and a pullback that captures no Tensor."""
+
+    _parents: tuple
+    _vjp: Callable[[np.ndarray], tuple]
+    requires_grad = True
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     requires = _grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires)
     if requires:
-        out._parents = parents
-        out._vjp = vjp
+        out._op = _Op(tuple(p._op or p for p in parents), vjp)
     return out
 
 
@@ -134,21 +150,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b) -> Tensor:
+    sa = a.shape
     if isinstance(b, Tensor):
-        out = a.data + b.data
-        return _node(out, (a, b), lambda g: (_unbroadcast(g, a.shape),
-                                             _unbroadcast(g, b.shape)))
-    bc = _const(b)
-    return _node(a.data + bc, (a,), lambda g: (_unbroadcast(g, a.shape),))
+        sb = b.shape
+        return _node(a.data + b.data, (a, b),
+                     lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+    return _node(a.data + _const(b), (a,), lambda g: (_unbroadcast(g, sa),))
 
 
 def mul(a: Tensor, b) -> Tensor:
+    ad, bd, sa = a.data, _const(b), a.shape
     if isinstance(b, Tensor):
-        return _node(a.data * b.data, (a, b),
-                     lambda g: (_unbroadcast(g * b.data, a.shape),
-                                _unbroadcast(g * a.data, b.shape)))
-    bc = _const(b)
-    return _node(a.data * bc, (a,), lambda g: (_unbroadcast(g * bc, a.shape),))
+        return _node(ad * bd, (a, b),
+                     lambda g: (_unbroadcast(g * bd, sa),
+                                _unbroadcast(g * ad, bd.shape)))
+    return _node(ad * bd, (a,), lambda g: (_unbroadcast(g * bd, sa),))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +191,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         if bd.ndim == 2:
             return _linear_vjp(ad, bd, g)
-        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), a.shape)
-        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
+        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
         return ga, gb
 
     return _node(out, (a, b), vjp)
@@ -241,7 +257,8 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
+    ad = a.data
+    return _node(np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
@@ -307,11 +324,12 @@ def residual_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
     xhat -= xhat.sum(axis=-1, keepdims=True) / d  # centred
     inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
     xhat *= inv
-    out = xhat * gain.data
+    gd = gain.data
+    out = xhat * gd
     out += bias.data
 
     def vjp(g):
-        dxhat = g * gain.data
+        dxhat = g * gd
         m1 = dxhat.sum(axis=-1, keepdims=True) / d
         m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
         dxhat -= m1
@@ -328,12 +346,12 @@ def residual_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
 # backward pass
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
+def _toposort(root: Tensor) -> list[Tensor | _Op]:
     """Every node reachable from root, each after its parents. Acyclic by
-    construction: _node links a node only to tensors that already exist."""
-    order: list[Tensor] = []
+    construction: _node links a node only to nodes that already exist."""
+    order: list[Tensor | _Op] = []
     entered: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Tensor | _Op, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:

@@ -94,12 +94,11 @@ def dropout_multiplier(shape, p, rng, phase) -> np.ndarray | None:
     return None if mask is None else mask[0] * mask[1]
 
 
-def desk_forward_graph_bytes() -> int:
-    """Bytes that one Phase.TRAIN forward of the desk model (d=32, 2+2
-    layers, 4 heads, d_ff=64, dropout 0.1 at all three sites, cross gamma
-    0.2 train_only) leaves alive in its graph, loss included, at perfbench's
-    train_step shape: toy_translate, a batch of 32, 9 target positions.
-    Traced with tracemalloc, which sees NumPy's array buffers."""
+def desk_forward():
+    """A Phase.TRAIN forward of the desk model (d=32, 2+2 layers, 4 heads,
+    d_ff=64, dropout 0.1 at all three sites, cross gamma 0.2 train_only) on
+    one batch at perfbench's train_step shape: toy_translate, a batch of 32,
+    9 target positions. Returns a function that builds the loss."""
     setting = RelaxSetting(site="cross", gamma=0.2, mode="train_only")
     spec = ExperimentSpec(task="toy_translate", task_params={"data_seed": 1000},
                           model={"n_enc": 2, "n_dec": 2, "n_heads": 4,
@@ -110,11 +109,18 @@ def desk_forward_graph_bytes() -> int:
     idx = RngStream(0, "batch").integers(0, len(data.train), 32)
     y_in, y_out = teacher_forcing_pair(data.train.targets[idx])
     sources = data.train.sources[idx]
+    return lambda: label_smoothed_nll(
+        model.forward_teacher_forced(sources, y_in, Phase.TRAIN), y_out, 0.1)
+
+
+def desk_forward_graph_bytes() -> int:
+    """Bytes that one desk_forward() leaves alive in its graph, loss
+    included. Traced with tracemalloc, which sees NumPy's array buffers."""
+    forward = desk_forward()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        loss = label_smoothed_nll(
-            model.forward_teacher_forced(sources, y_in, Phase.TRAIN), y_out, 0.1)
+        loss = forward()
         return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -861,7 +861,8 @@ def test_spec_file_ints_in_float_fields_are_kept_as_written(tmp_path):
     (json.dumps({"task": "copy", "relax_grid": [{"site": "cross", "gamma": 1.5}]}),
      "gamma0 must be in [0, 1], got 1.5"),
     ('{"task": "copy",', "Expecting property name enclosed in double quotes"),
-], ids=["gamma_above_one", "json_syntax_error"])
+    (json.dumps({"seeds": [0]}), "task is missing"),
+], ids=["gamma_above_one", "json_syntax_error", "task_missing"])
 def test_cli_exits_naming_a_spec_that_does_not_load(tmp_path, monkeypatch,
                                                     text, error):
     import ratn.cli as cli_mod
@@ -955,20 +956,29 @@ def test_cli_rejects_a_bad_spec_before_building_data(tmp_path, monkeypatch,
     ({"n_enc": 2.0}, "config.n_enc must be an int, got 2.0"),
     ({"relax_self": {"gamma0": "0.1"}},
      "config.relax_self.gamma0 must be a number, got '0.1'"),
+    (lambda sidecar: {**sidecar, "seed": 2.7}, "seed must be an int, got 2.7"),
+    (lambda sidecar: {"seed": 0}, "config is missing"),
+    (lambda sidecar: [sidecar], "the top level must be a mapping, got [{"),
+    (lambda sidecar: {**sidecar, "config": 3}, "config must be a mapping, got 3"),
 ], ids=["bad_magic", "missing", "sidecar_n_heads_a_string",
-        "sidecar_n_enc_a_float", "sidecar_gamma0_a_string"])
+        "sidecar_n_enc_a_float", "sidecar_gamma0_a_string", "sidecar_seed_a_float",
+        "sidecar_without_config", "sidecar_a_list", "sidecar_config_a_number"])
 def test_cli_decode_exits_naming_a_checkpoint_that_does_not_load(
         tmp_path, monkeypatch, content, error):
-    # content: the checkpoint's bytes, none, or a saved model's sidecar edits
+    # content: the checkpoint's bytes, none, a saved model's config edits,
+    # or a function of its sidecar that returns the sidecar to write
     import ratn.cli as cli_mod
     monkeypatch.setattr(cli_mod, "build_task_data", _never)
     ckpt = tmp_path / "model.ratn"
-    if isinstance(content, dict):
+    if isinstance(content, dict) or callable(content):
         save_model(Seq2SeqModel(ModelConfig(**FAST_MODEL, vocab_size=10,
                                             max_len=8)), ckpt)
         sidecar_path = tmp_path / "model.ratn.json"
         sidecar = json.loads(sidecar_path.read_text())
-        sidecar["config"].update(content)
+        if callable(content):
+            sidecar = content(sidecar)
+        else:
+            sidecar["config"].update(content)
         sidecar_path.write_text(json.dumps(sidecar))
     elif content is not None:
         ckpt.write_bytes(content)

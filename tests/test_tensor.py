@@ -1,19 +1,23 @@
 """Tensor core: op semantics, gradients against finite differences, RNG."""
 
+import dataclasses
 import math
+import types
 import zlib
 
 import numpy as np
 import pytest
 
-from helpers import layer_norm, rel_err, relu
+from helpers import desk_forward, layer_norm, rel_err, relu
 from ratn.rng import RngStream
-from ratn.tensor import (ShapeError, Tensor, _row_max, _softmax, backward,
-                         clamp_min, embedding, finite_diff_grad,
+from ratn.tensor import (ShapeError, Tensor, _row_max, _softmax, _toposort,
+                         backward, clamp_min, embedding, finite_diff_grad,
                          log, matmul, no_grad, reshape, residual_norm,
                          softmax_rows, transpose, tsum)
-from ratn.attention import (Phase, _dropout_mask, relative_position_index,
-                            relax_weights)
+from ratn.attention import (Phase, RelaxationConfig, _dropout_mask,
+                            relative_position_index, relax_weights)
+from ratn.training import label_smoothed_nll
+from ratn.window_classifier import WindowClassifier, WindowClassifierConfig
 
 
 def test_matmul_identity():
@@ -263,6 +267,54 @@ def test_no_grad_disables_taping():
     with no_grad():
         y = (x * 2.0).sum()
     assert y._vjp is None and not y.requires_grad
+
+
+def _tensors_held(pullback) -> list[Tensor]:
+    """Every Tensor a pullback reaches through closure cells, tuples and
+    dataclass fields."""
+    found, seen, todo = [], set(), [pullback]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:  # a name the enclosing call never bound
+                    pass
+        elif isinstance(obj, tuple):
+            todo += obj
+        elif dataclasses.is_dataclass(obj):
+            todo += [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    return found
+
+
+def test_pullbacks_hold_arrays_not_interior_tensors():
+    # A value no pullback reads must not outlive its forward: the graph
+    # holds arrays and leaves, never an interior Tensor. Then a second
+    # backward over the retained graph doubles every leaf gradient exactly.
+    relax = RelaxationConfig(gamma0=0.2, mode="train_only")
+    clf = WindowClassifier(WindowClassifierConfig(
+        channels=8, window=2, n_heads=2, n_classes=3, relax_window=relax), seed=0)
+    grids = RngStream(3, "grids").normal((4, 4, 4, 8))
+    losses = {"desk": desk_forward()(),
+              "window": label_smoothed_nll(clf.forward(grids, Phase.TRAIN),
+                                           np.array([0, 1, 2, 0]), 0.1)}
+    for name, loss in losses.items():
+        graph = _toposort(loss)
+        interior = [t for node in graph if node._vjp is not None
+                    for t in _tensors_held(node._vjp) if t._vjp is not None]
+        assert not interior, (name, len(interior))
+        leaves = [node for node in graph if node._vjp is None and node.requires_grad]
+        backward(loss)
+        first = [leaf.grad.copy() for leaf in leaves]
+        backward(loss)
+        for leaf, grad in zip(leaves, first):
+            assert np.array_equal(leaf.grad, 2.0 * grad), name
 
 
 def test_rng_streams_are_reproducible_and_independent():

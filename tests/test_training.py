@@ -229,8 +229,10 @@ def test_train_reproduces_the_golden_run_bit_for_bit():
 def test_desk_forward_graph_stays_small():
     # 8,269,144 bytes while the graph held every dropout decision as a
     # float64 multiplier and the attention node held its dropped weights;
-    # 6,428,104 with boolean masks and the dropped weights rebuilt.
-    assert desk_forward_graph_bytes() < 6_550_000
+    # 6,428,104 with boolean masks and the dropped weights rebuilt;
+    # 4,985,888 once children link to graph nodes rather than tensors and
+    # pullbacks capture only the arrays they read.
+    assert desk_forward_graph_bytes() < 5_100_000
 
 
 def test_loss_series_is_finite_and_logged():
