@@ -213,32 +213,47 @@ class KvCache:
     This is the incremental state of fairseq (Ott et al. 2019): each step
     feeds multi_head_attention only the newest query position. A
     self-attention cache appends that step's projected keys/values and
-    attends over all positions so far; a static cache (cross attention over
-    a fixed encoder output) projects its keys/values on the first call and
-    reuses them after. Arrays are [rows, n_heads, L, d/n_heads]; reorder()
-    gathers rows, e.g. by beam parent. Inference only: a cached
+    attends over all positions so far; reorder() gathers its rows, e.g. by
+    beam parent. A static cache (cross attention over a fixed encoder
+    output) projects its keys/values on the first call, one row per source,
+    and never copies them: reorder() composes `rows`, the stored row of each
+    live row, and each call gathers its rows through it. Keys are stored
+    transposed and contiguous, [rows, n_heads, d/n_heads, L]; values are
+    [rows, n_heads, L, d/n_heads]. Inference only: a cached
     multi_head_attention call builds no autodiff node.
     """
 
     def __init__(self, static: bool = False):
         self.static = static
-        self.k: np.ndarray | None = None
+        self.kt: np.ndarray | None = None
         self.v: np.ndarray | None = None
+        self.rows: np.ndarray | None = None  # None: row i is stored row i
 
     def keys_values(self, kv: Tensor,
                     params: MhaParams) -> tuple[np.ndarray, np.ndarray]:
-        if self.k is None or not self.static:
-            kh, vh = (_split_heads(kv.data @ w.data, params.n_heads)
-                      for w in (params.w_k, params.w_v))
-            if self.k is not None:
-                kh = np.concatenate([self.k, kh], axis=-2)
+        """This call's transposed keys and values, one row per live row."""
+        if self.kt is None or not self.static:
+            kh, vh = _project_kv(kv, params)
+            kt = np.swapaxes(kh, -1, -2)
+            if self.kt is not None:
+                kt = np.concatenate([self.kt, kt], axis=-1)
                 vh = np.concatenate([self.v, vh], axis=-2)
-            self.k, self.v = kh, vh
-        return self.k, self.v
+            self.kt, self.v = np.ascontiguousarray(kt), vh
+        if self.rows is None:
+            return self.kt, self.v
+        return self.kt[self.rows], self.v[self.rows]
 
     def reorder(self, rows: np.ndarray) -> None:
-        if self.k is not None:
-            self.k, self.v = self.k[rows], self.v[rows]
+        if self.static:
+            self.rows = rows if self.rows is None else self.rows[rows]
+        elif self.kt is not None:
+            self.kt, self.v = self.kt[rows], self.v[rows]
+
+
+def _project_kv(kv: Tensor, params: MhaParams) -> tuple[np.ndarray, np.ndarray]:
+    """kv's keys and values, split into heads: two [.., n_heads, L, dh]."""
+    return tuple(_split_heads(kv.data @ w.data, params.n_heads)
+                 for w in (params.w_k, params.w_v))
 
 
 def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
@@ -268,10 +283,15 @@ def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams,
         raise ShapeError(f"q/kv feature dims {q.shape[-1]}/{kv.shape[-1]} "
                          f"must equal model dim {d}")
     w_q, w_k, w_v, w_o = (w.data for w in params.tensors().values())
-    kh, vh = (cache or KvCache()).keys_values(kv, params)  # no cache: fresh
     scale = 1.0 / math.sqrt(d) if scale is None else scale
     qh = _split_heads(q.data @ w_q, n_heads)
-    logits = qh @ np.ascontiguousarray(np.swapaxes(kh, -1, -2))
+    if cache is None:
+        kh, vh = _project_kv(kv, params)
+        logits = qh @ np.ascontiguousarray(np.swapaxes(kh, -1, -2))
+    else:
+        kt, vh = cache.keys_values(kv, params)
+        logits = qh @ kt
+        del kt  # a static cache's gathered rows
     logits *= scale
     if bias is not None:  # a bias broadcasts into the logits' shape
         logits += _const(bias)

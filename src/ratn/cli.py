@@ -94,6 +94,12 @@ def cmd_decode(args) -> int:
         raise SystemExit(f"--checkpoint {args.checkpoint} does not load: "
                          f"{err}") from None
     data = build_task_data(spec.task, spec.task_params)
+    sizes = TASKS[spec.task].sizes(data)
+    for name in sizes:  # as resolve_model_config sets them for `ratn train`
+        have, want = getattr(model.config, name), spec.model.get(name, sizes[name])
+        if have != want:
+            raise SystemExit(f"--checkpoint {args.checkpoint} does not fit the "
+                             f"spec: its {name} is {have}, the spec's is {want}")
     corpus = getattr(data, args.split)
     lm = None
     if args.lm != LM_NONE:

@@ -10,10 +10,11 @@ ranking divides scores by emitted-token count.
 Search runs over a corpus batch: the live hypotheses of every unfinished
 source form one decoder batch of rows, and each step runs the decoder on
 only the newest token of each row. Earlier positions live in the model's
-DecoderState, a per-layer cache of projected self-attention keys/values
-(plus the cross-attention keys/values of the encoder output, projected
-once), gathered by beam parent after every step and read by
-multi_head_attention through its cache argument. A call holds at most
+DecoderState, read by multi_head_attention through its cache argument: per
+layer, the projected self-attention keys/values of every row, gathered by
+beam parent after every step, and the cross-attention keys/values of the
+encoder output, projected once and held once per source, which each step
+reaches through the rows' source index. A call holds at most
 MAX_ROWS_PER_CALL rows, so a split is searched in groups of sources; the
 bookkeeping is per source, so no result depends on a source's neighbours.
 beam_search, for one source, is the N=1 case; greedy_decode stays as the
@@ -76,19 +77,23 @@ class BigramLm:
 
 
 def bigram_lm_train(corpus, vocab_size: int, k: float) -> BigramLm:
-    """Count transitions over BOS + sequence + EOS and smooth with add-k.
+    """Count transitions over BOS + sequence + EOS of every row of an
+    [N, T] corpus and smooth with add-k.
 
     Conditionals are (count(a, b) + k) / (sum_b count(a, b) + k * D); a row
     with no observations is uniform.
     """
     if len(corpus) == 0:
         raise ValueError("cannot train a language model on an empty corpus")
-    counts = np.zeros((vocab_size, vocab_size))
-    for seq in corpus:
-        path = [BOS_ID, *map(int, seq), EOS_ID]
-        for a, b in zip(path, path[1:]):
-            counts[a, b] += 1.0
-    return BigramLm(counts, k)
+    corpus = np.asarray(corpus, dtype=np.int64)  # [N, T]
+    bad = corpus[(corpus < 0) | (corpus >= vocab_size)]
+    if bad.size:
+        raise ValueError(f"token id {bad[0]} out of range for vocabulary "
+                         f"of {vocab_size}")
+    path = np.pad(corpus, ((0, 0), (1, 1)), constant_values=(BOS_ID, EOS_ID))
+    pairs = path[:, :-1] * vocab_size + path[:, 1:]
+    counts = np.bincount(pairs.ravel(), minlength=vocab_size * vocab_size)
+    return BigramLm(counts.reshape(vocab_size, vocab_size), k)
 
 
 def shallow_fusion(log_p: np.ndarray, log_p_lm: np.ndarray,
@@ -188,7 +193,7 @@ def _search_group(model, h, beam, lm, lam, max_len, eos_margin):
 
     Live rows are grouped by source in ascending order; the decoder sees
     only each row's newest token and keeps the rest in its DecoderState,
-    gathered by beam parent after every step.
+    reordered by beam parent after every step.
     """
     n = h.shape[0]
     state = model.new_decoder_state()

@@ -200,10 +200,11 @@ def _translate_pair(spec: ToyTranslateSpec, rng: RngStream,
 
 def _translate_corpus(spec: ToyTranslateSpec, rng: RngStream, n: int,
                       restrict: bool) -> ParallelCorpus:
-    pairs = [_translate_pair(spec, rng, restrict) for _ in range(n)]
-    return ParallelCorpus(
-        sources=np.array([p[0] for p in pairs], dtype=np.int64),
-        targets=np.array([p[1] for p in pairs], dtype=np.int64))
+    sources = np.empty((n, 2 * spec.slots), dtype=np.int64)
+    targets = np.empty_like(sources)
+    for i in range(n):  # row by row: n pairs are never held as lists
+        sources[i], targets[i] = _translate_pair(spec, rng, restrict)
+    return ParallelCorpus(sources=sources, targets=targets)
 
 
 def gen_toy_translate(spec: ToyTranslateSpec) -> SequenceTaskData:

@@ -170,8 +170,10 @@ class DecoderState:
     """Incremental decoding state of a batch of hypothesis rows.
 
     Per decoder layer a self-attention KvCache and a static cross-attention
-    KvCache, plus the number of positions decoded so far. reorder() gathers
-    every cache's rows, so row i continues the prefix of old row rows[i].
+    KvCache, plus the number of positions decoded so far. After reorder(),
+    row i continues the prefix of old row rows[i]: the self caches gather
+    their rows, and the cross caches, one row per source, update their
+    row-to-source index.
     """
 
     def __init__(self, n_layers: int):
@@ -326,10 +328,10 @@ class Seq2SeqModel(Module):
 
         Each row's prefix is every token fed to it through `state`, which
         this call extends by one position; the first call feeds BOS. h
-        [R, T, d] is read on the first call only, when it fills the
-        cross-attention caches; reorder the state between calls to follow
-        beam parents. Equals decode_step on the full prefixes up to float
-        reassociation.
+        [N, T, d] is read on the first call only, when it fills the
+        cross-attention caches with one row per source (R == N then);
+        reorder the state between calls to follow beam parents. Equals
+        decode_step on the full prefixes up to float reassociation.
         """
         arr = np.asarray(tokens, dtype=np.int64)[:, None]
         y = self._embed(self.emb_dec, arr, Phase.EVAL, offset=state.length)

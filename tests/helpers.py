@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 
 from ratn.attention import Phase, _dropout_mask
+from ratn.decoding import bigram_lm_train, decode_corpus
 from ratn.experiment import (ExperimentSpec, RelaxSetting, build_task_data,
                              resolve_model_config)
 from ratn.rng import RngStream
-from ratn.tensor import ShapeError, Tensor, _node, backward, finite_diff_grad
+from ratn.tensor import (ShapeError, Tensor, _node, backward, finite_diff_grad,
+                         no_grad)
 from ratn.training import label_smoothed_nll, teacher_forcing_pair
 from ratn.transformer import Seq2SeqModel
 
@@ -94,18 +96,24 @@ def dropout_multiplier(shape, p, rng, phase) -> np.ndarray | None:
     return None if mask is None else mask[0] * mask[1]
 
 
-def desk_forward():
-    """A Phase.TRAIN forward of the desk model (d=32, 2+2 layers, 4 heads,
-    d_ff=64, dropout 0.1 at all three sites, cross gamma 0.2 train_only) on
-    one batch at perfbench's train_step shape: toy_translate, a batch of 32,
-    9 target positions. Returns a function that builds the loss."""
+def _desk_model_and_data():
+    """The desk model (d=32, 2+2 layers, 4 heads, d_ff=64, dropout 0.1 at
+    all three sites, cross gamma 0.2 train_only), untrained at seed 0, and
+    toy_translate's data at data seed 1000."""
     setting = RelaxSetting(site="cross", gamma=0.2, mode="train_only")
     spec = ExperimentSpec(task="toy_translate", task_params={"data_seed": 1000},
                           model={"n_enc": 2, "n_dec": 2, "n_heads": 4,
                                  "d_model": 32, "d_ff": 64},
                           relax_grid=(setting,))
     data = build_task_data(spec.task, spec.task_params)
-    model = Seq2SeqModel(resolve_model_config(spec, data, setting), seed=0)
+    return Seq2SeqModel(resolve_model_config(spec, data, setting), seed=0), data
+
+
+def desk_forward():
+    """A Phase.TRAIN forward of the desk model on one batch at perfbench's
+    train_step shape: toy_translate, a batch of 32, 9 target positions.
+    Returns a function that builds the loss."""
+    model, data = _desk_model_and_data()
     idx = RngStream(0, "batch").integers(0, len(data.train), 32)
     y_in, y_out = teacher_forcing_pair(data.train.targets[idx])
     sources = data.train.sources[idx]
@@ -122,5 +130,25 @@ def desk_forward_graph_bytes() -> int:
         before = tracemalloc.get_traced_memory()[0]
         loss = forward()
         return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def desk_decode_peak_bytes() -> int:
+    """Traced peak bytes of one decode_corpus of the desk model over
+    toy_translate's 200-source test split at beam 4, fused with the
+    extended-text bigram LM at lambda 0.3. The split is encoded before the
+    trace starts, as a cell encodes it once for all its decodes."""
+    model, data = _desk_model_and_data()
+    lm = bigram_lm_train(data.text["extended"], data.vocab_size, 0.5)
+    test = data.test
+    with no_grad():
+        h = model.encode(test.sources, Phase.EVAL)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        decode_corpus(model, test.sources, 4, lm, 0.3,
+                      max_len=test.targets.shape[1] + 2, h=h)
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rel_err
+from helpers import desk_decode_peak_bytes, rel_err
 from ratn.attention import Phase
 from ratn import decoding
 from ratn.decoding import (BeamHypothesis, BigramLm, beam_search,
@@ -100,6 +100,32 @@ def test_bigram_rejects_bad_k_and_empty_corpus():
         bigram_lm_train([[1]], 4, 0.0)
     with pytest.raises(ValueError):
         bigram_lm_train([], 4, 1.0)
+
+
+def _loop_bigram_lm(corpus, vocab_size: int, k: float) -> BigramLm:
+    """The straight-line count: one increment per transition of every
+    BOS + sequence + EOS path."""
+    counts = np.zeros((vocab_size, vocab_size))
+    for seq in corpus:
+        path = [BOS_ID, *map(int, seq), EOS_ID]
+        for a, b in zip(path, path[1:]):
+            counts[a, b] += 1.0
+    return BigramLm(counts, k)
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (1, 3), (20, 5), (300, 8)])
+def test_bigram_counts_equal_the_loop_count(shape):
+    corpus = RngStream(2, "t").integers(0, 9, shape)
+    for rows in (corpus, corpus.tolist()):
+        assert (bigram_lm_train(rows, 9, 0.5)._log_cond.tobytes()
+                == _loop_bigram_lm(rows, 9, 0.5)._log_cond.tobytes())
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 7])
+def test_bigram_rejects_a_token_id_outside_the_vocabulary(bad):
+    with pytest.raises(ValueError, match=f"token id {bad} out of range "
+                                         "for vocabulary of 5"):
+        bigram_lm_train([[3, 4], [3, bad]], 5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +358,14 @@ def test_decode_corpus_ignores_batch_neighbours_and_row_cap(monkeypatch):
                                + json.loads(decode(sources[4:])))
     monkeypatch.setattr(decoding, "MAX_ROWS_PER_CALL", 4)  # one source a call
     assert decode(sources) == whole
+
+
+def test_desk_decode_peak_stays_small():
+    # 3,397,160 bytes while every hypothesis row held its own copy of its
+    # source's cross-attention keys and values and every cached call copied
+    # its keys transposed; 2,585,418 with the cross caches held once per
+    # source and the keys stored transposed.
+    assert desk_decode_peak_bytes() < 3_000_000
 
 
 def test_empty_source_batch_decodes_to_nothing():

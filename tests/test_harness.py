@@ -989,6 +989,26 @@ def test_cli_decode_exits_naming_a_checkpoint_that_does_not_load(
                   "--checkpoint", str(ckpt), "--output-dir", str(tmp_path / "out")])
 
 
+@pytest.mark.parametrize("model,saved,error", [
+    ({}, {"vocab_size": 16}, "its vocab_size is 16, the spec's is 10"),
+    ({}, {"max_len": 6}, "its max_len is 6, the spec's is 8"),
+    ({"max_len": 12}, {}, "its max_len is 8, the spec's is 12"),
+], ids=["vocab_size", "max_len", "max_len_set_by_the_spec"])
+def test_cli_decode_exits_naming_a_checkpoint_that_does_not_fit_the_spec(
+        tmp_path, model, saved, error):
+    # the spec's copy data fix vocab_size 10 and max_len 8, unless its model
+    # section sets them; `ratn train` gives its model those sizes
+    ckpt = tmp_path / "model.ratn"
+    save_model(Seq2SeqModel(ModelConfig(**{**FAST_MODEL, "vocab_size": 10,
+                                           "max_len": 8, **saved})), ckpt)
+    spec_path = _write_spec(tmp_path, model={**FAST_MODEL, **model})
+    with pytest.raises(SystemExit, match=re.escape(
+            f"--checkpoint {ckpt} does not fit the spec: {error}")):
+        cli_main(["decode", "--spec", str(spec_path), "--checkpoint", str(ckpt),
+                  "--output-dir", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "decode", "eval"])
 def test_cli_seq2seq_commands_reject_the_window_task_before_any_work(
         tmp_path, monkeypatch, command):

@@ -175,6 +175,29 @@ def test_incremental_step_matches_full_recompute(overrides):
     assert state.length == y.shape[1]
 
 
+def test_reorder_indexes_cross_caches_and_gathers_self_caches():
+    # The cross caches hold one row per source and follow the hypothesis
+    # rows by index; the self caches gather their rows. Both store keys
+    # transposed and contiguous: [rows, n_heads, d/n_heads, L].
+    model = tiny_model(seed=6, n_dec=2)
+    h = model.encode(np.array([[3, 4, 5, 6], [7, 3, 9, 4], [5, 5, 8, 3]]))
+    state = model.new_decoder_state()
+    model.decode_next(h, [BOS_ID] * 3, state)
+    held = [(cross.kt, cross.v) for _, cross in state.caches]
+    for rows, sources, length in (([2, 0, 0, 1, 2], [2, 0, 0, 1, 2], 1),
+                                  ([4, 4, 1], [2, 2, 0], 2)):
+        state.reorder(np.array(rows))
+        for (self_cache, cross), (kt, v) in zip(state.caches, held):
+            assert cross.kt is kt and cross.v is v
+            assert kt.shape == (3, 2, 4, 4) and v.shape == (3, 2, 4, 4)
+            assert cross.rows.tolist() == sources
+            assert self_cache.kt.shape == (len(rows), 2, 4, length)
+            assert self_cache.v.shape == (len(rows), 2, length, 4)
+            for arr in (kt, v, self_cache.kt, self_cache.v):
+                assert arr.flags.c_contiguous
+        model.decode_next(h, [3] * len(rows), state)
+
+
 def test_incremental_step_rejects_positions_beyond_max_len():
     model = tiny_model()
     h = model.encode(np.array([[3, 4, 5]]))
