@@ -84,7 +84,7 @@ def cmd_train(args) -> int:
 def cmd_decode(args) -> int:
     if args.beam is not None and args.beam < 1:
         raise SystemExit(f"--beam must be >= 1, got {args.beam}")
-    if args.lm != LM_NONE and args.lm_lambda < 0:
+    if args.lm != LM_NONE and not args.lm_lambda >= 0:  # NaN too
         raise SystemExit(f"--lm-lambda must be >= 0, got {args.lm_lambda}")
     spec = _load_spec(args)
     out = _out_dir(args, spec)

@@ -14,14 +14,16 @@ through _run_cells: task data built once (build_task_data), one _cell_job per
 cell, which runs the task's cell runner (in process at workers=1, above that
 on a pool of fresh interpreters that each keep their freed heap and load
 BLAS with one thread, so N workers keep to N CPUs), a cell_failed row for a
-cell that raises. Splits are decoded by decoding.decode_corpus, without
-taping. Output files are replaced atomically (checkpoint.write_atomic).
+cell that raises. A cell searches each split once, without taping, for all
+its fusion points together (decoding.decode_grid). Output files are
+replaced atomically (checkpoint.write_atomic).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -36,11 +38,10 @@ import numpy as np
 from . import tasks
 from .attention import MODE_TRAIN_ONLY, RelaxationConfig
 from .checkpoint import from_json, json_fields, write_atomic
-from .decoding import BigramLm, bigram_lm_train, decode_corpus
+from .decoding import BigramLm, bigram_lm_train, decode_grid
 from .metrics import wer
-from .tensor import no_grad
 from .training import TrainConfig, train
-from .transformer import ModelConfig, Phase, Seq2SeqModel
+from .transformer import ModelConfig, Seq2SeqModel
 from .window_classifier import (WindowClassifier, WindowClassifierConfig,
                                 train_classifier)
 
@@ -117,8 +118,14 @@ class LmSpec:
             raise ValueError("lm.lambda_grid must be non-empty")
         if self.k <= 0:
             raise ValueError(f"lm.k must be > 0, got {self.k}")
-        if any(l < 0 for l in self.lambda_grid):
-            raise ValueError("fusion weights must be >= 0")
+        bad = [lam for lam in self.lambda_grid if not 0 <= lam < math.inf]
+        if bad:  # a NaN weight would decode without the LM
+            raise ValueError(f"fusion weights must be finite and >= 0, got {bad[0]}")
+        for name, keys in (("lm.corpora", self.corpora),
+                           ("lm.lambda_grid", self.lambda_grid)):
+            repeated = sorted({k for k in keys if keys.count(k) > 1})
+            if repeated:  # their dev rows would share one key
+                raise ValueError(f"repeated {name} entries: {repeated}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,7 @@ class ExperimentSpec:
                 raise ValueError(f"repeated {name}s: {repeated}")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
-        if self.eos_margin < 0:  # a source would stop while it can still improve
+        if not self.eos_margin >= 0:  # below 0 stops too early, NaN never
             raise ValueError(f"eos_margin must be >= 0, got {self.eos_margin}")
         row = TASKS[self.task]
         sites = {s.site for s in self.relax_grid} - {"none"}
@@ -199,6 +206,7 @@ def resolve_model_config(spec: ExperimentSpec, data, setting: RelaxSetting):
 
 
 resolve_classifier_config = resolve_model_config  # perfbench's name for it
+decode_corpus = decode_grid  # the name perfbench times a cell's decodes by
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +223,11 @@ def run_sequence_cell(spec: ExperimentSpec, data: tasks.SequenceTaskData,
                       setting: RelaxSetting, seed: int) -> list[dict]:
     """Train one model and produce result rows for every decode performed.
 
-    Decodes: dev without LM, dev per (corpus, lambda) on the grid, test
-    without LM, and test once per corpus at the dev-selected lambda (ties go
-    to the earlier lambda of the grid). Test is never used for selection.
-    Each split is encoded once and its encoder output reused by every decode.
+    Decodes dev without LM and per (corpus, lambda) on the grid, then test
+    without LM and once per corpus at the dev-selected lambda (ties go to
+    the earlier lambda of the grid). Test is never used for selection. Each
+    split is encoded once and searched once, for all its fusion points
+    together (decoding.decode_grid).
     """
     cfg = resolve_model_config(spec, data, setting)
     corpora = spec.lm.corpora if spec.lm is not None else ()
@@ -233,30 +242,26 @@ def run_sequence_cell(spec: ExperimentSpec, data: tasks.SequenceTaskData,
         for name in corpora}
     max_len = data.train.targets.shape[1] + 2
     rows: list[dict] = []
-    with no_grad():
-        encoded = {"dev": model.encode(data.dev.sources, Phase.EVAL),
-                   "test": model.encode(data.test.sources, Phase.EVAL)}
 
-    def decode_and_score(split: str, corpus: tasks.ParallelCorpus, lm_name: str,
-                         lam: float) -> float:
-        decoded = decode_corpus(model, corpus.sources, spec.beam,
-                                lm=lms.get(lm_name), lam=lam, max_len=max_len,
-                                eos_margin=spec.eos_margin, h=encoded[split])
-        hyps = [tokens for tokens, _ in decoded]
-        value = wer([list(map(int, t)) for t in corpus.targets], hyps)
-        rows.append({**_base_row(setting, seed), "split": split, "lm": lm_name,
-                     "lambda": lam, "metric": "wer", "value": value})
-        return value
+    def decode_and_score(split: str, corpus: tasks.ParallelCorpus,
+                         points: list[tuple[str, float]]) -> dict:
+        decoded = decode_grid(model, corpus.sources, spec.beam,
+                              [(lms.get(name), lam) for name, lam in points],
+                              max_len=max_len, eos_margin=spec.eos_margin)
+        refs = [list(map(int, t)) for t in corpus.targets]
+        values = {}
+        for (name, lam), best in zip(points, decoded):
+            values[name, lam] = wer(refs, [tokens for tokens, _ in best])
+            rows.append({**_base_row(setting, seed), "split": split, "lm": name,
+                         "lambda": lam, "metric": "wer",
+                         "value": values[name, lam]})
+        return values
 
-    decode_and_score("dev", data.dev, LM_NONE, 0.0)
-    selected: dict[str, float] = {}
-    for name in lms:
-        lams = [float(lam) for lam in spec.lm.lambda_grid]
-        values = [decode_and_score("dev", data.dev, name, lam) for lam in lams]
-        selected[name] = lams[values.index(min(values))]  # first of a tie
-    decode_and_score("test", data.test, LM_NONE, 0.0)
-    for name, lam in selected.items():
-        decode_and_score("test", data.test, name, lam)
+    lams = [float(lam) for lam in spec.lm.lambda_grid] if lms else []
+    dev = decode_and_score("dev", data.dev, [(LM_NONE, 0.0)] + [
+        (name, lam) for name in lms for lam in lams])
+    decode_and_score("test", data.test, [(LM_NONE, 0.0)] + [  # first of a tie
+        (name, min(lams, key=lambda lam: dev[name, lam])) for name in lms])
     return rows
 
 

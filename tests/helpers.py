@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 
 from ratn.attention import Phase, _dropout_mask
-from ratn.decoding import bigram_lm_train, decode_corpus
-from ratn.experiment import (ExperimentSpec, RelaxSetting, build_task_data,
+from ratn.decoding import bigram_lm_train, decode_corpus, decode_grid
+from ratn.experiment import (DEFAULT_LAMBDA_GRID, ExperimentSpec,
+                             RelaxSetting, build_task_data,
                              resolve_model_config)
 from ratn.rng import RngStream
 from ratn.tensor import (ShapeError, Tensor, _node, backward, finite_diff_grad,
@@ -149,6 +150,29 @@ def desk_decode_peak_bytes() -> int:
         before = tracemalloc.get_traced_memory()[0]
         decode_corpus(model, test.sources, 4, lm, 0.3,
                       max_len=test.targets.shape[1] + 2, h=h)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def desk_grid_peak_bytes() -> int:
+    """Traced peak bytes of one decode_grid of the desk model over
+    toy_translate's 100-source dev split at beam 4, for the 9 points of
+    ilm_cell's dev grid: no LM, and both bigram LMs at each lambda of
+    DEFAULT_LAMBDA_GRID. The split is encoded before the trace starts."""
+    model, data = _desk_model_and_data()
+    lms = [bigram_lm_train(data.text[name], data.vocab_size, 0.5)
+           for name in ("in_domain", "extended")]
+    points = [(None, 0.0)] + [(lm, lam) for lm in lms
+                              for lam in DEFAULT_LAMBDA_GRID]
+    dev = data.dev
+    with no_grad():
+        h = model.encode(dev.sources, Phase.EVAL)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        decode_grid(model, dev.sources, 4, points,
+                    max_len=dev.targets.shape[1] + 2, h=h)
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -9,12 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import desk_decode_peak_bytes, rel_err
+from helpers import desk_decode_peak_bytes, desk_grid_peak_bytes, rel_err
 from ratn.attention import Phase
 from ratn import decoding
 from ratn.decoding import (BeamHypothesis, BigramLm, beam_search,
                            beam_search_batch, bigram_lm_train, decode_corpus,
-                           greedy_decode, shallow_fusion)
+                           decode_grid, greedy_decode, shallow_fusion)
 from ratn.rng import RngStream
 from ratn.tensor import Tensor
 from ratn.transformer import BOS_ID, EOS_ID, ModelConfig, Seq2SeqModel
@@ -368,8 +368,115 @@ def test_desk_decode_peak_stays_small():
     assert desk_decode_peak_bytes() < 3_000_000
 
 
+def test_desk_dev_grid_peak_stays_small():
+    # 2,548,810 bytes for the 9 fusion points of ilm_cell's dev grid searched
+    # together, each call holding at most MAX_ROWS_PER_CALL decoder rows;
+    # 4,192,947 for the largest of the 9 searches when each point was
+    # searched on its own
+    assert desk_grid_peak_bytes() < 1.1 * 2_548_810
+
+
+def test_decode_corpus_rejects_an_encoder_output_of_other_sources():
+    model, sources, lm = corpus_setup()
+    h = model.encode(sources[:5])
+    with pytest.raises(ValueError, match="h encodes 5 sources, given 3"):
+        decode_corpus(model, sources[:3], 4, lm=lm, lam=0.3, max_len=6, h=h)
+
+
+@pytest.mark.parametrize("lam", [-0.1, math.nan])
+def test_beam_search_rejects_a_fusion_weight_below_zero_or_nan(lam):
+    model, h = small_model(2)
+    with pytest.raises(ValueError, match=f"lambda must be >= 0, got {lam}"):
+        beam_search_batch(model, Tensor(h.data[None]), beam=2, lam=lam)
+
+
+def test_beam_search_rejects_a_nan_eos_margin():
+    # NaN compares false, so every source would search on to max_len
+    model, h = small_model(2)
+    with pytest.raises(ValueError, match="eos_margin must be >= 0, got nan"):
+        beam_search_batch(model, Tensor(h.data[None]), beam=2,
+                          eos_margin=math.nan)
+
+
+# ---------------------------------------------------------------------------
+# one search for a grid of fusion points
+
+
+def grid_points(seed=4):
+    """The points of a fusion grid: no LM, lm_a at lambda 0, and lm_a and
+    lm_b at lambda 0.3. lm_a favours EOS and lm_b all but rules it out, so
+    the fused points stop at different steps."""
+    counts = np.abs(RngStream(seed, "grid").normal((2, 6, 6))) * 3
+    counts[0, :, EOS_ID] += 30.0
+    counts[1, :, EOS_ID] = 0.0
+    lm_a, lm_b = (BigramLm(c, k=0.01) for c in counts)
+    return ((None, 0.0), (lm_a, 0.0), (lm_a, 0.3), (lm_b, 0.3))
+
+
+def _pool_bits(pool):
+    return [(hyp.tokens, hyp.score.hex(), hyp.finished) for hyp in pool]
+
+
+@pytest.mark.parametrize("eos_margin", [0.0, 1e9])
+@pytest.mark.parametrize("beam", [1, 4])
+def test_grid_pools_equal_the_one_point_search_and_the_reference(beam,
+                                                                 eos_margin):
+    model, sources, _ = corpus_setup()
+    points = grid_points()
+    h = model.encode(sources, Phase.EVAL)
+    grid = decoding._search(model, h, beam, points, 6, eos_margin,
+                            lambda pool: pool)
+    last_steps = []
+    for (lm, lam), pools in zip(points, grid):
+        alone = beam_search_batch(model, h, beam, lm=lm, lam=lam, max_len=6,
+                                  eos_margin=eos_margin)
+        assert [_pool_bits(p) for p in pools] == [_pool_bits(p) for p in alone]
+        for src, pool in zip(sources, pools):
+            ref = _reference_beam_search(model, model.encode(src), beam, lm,
+                                         lam, 6, eos_margin)
+            assert [(hyp.tokens, hyp.finished) for hyp in pool] == [
+                (hyp.tokens, hyp.finished) for hyp in ref]
+            for a, b in zip(pool, ref):
+                assert abs(a.score - b.score) < 1e-10
+        last_steps.append(max(len(hyp.tokens) for pool in pools for hyp in pool))
+    if eos_margin == 0.0:
+        # a point whose searches have all stopped leaves the others running
+        assert len(set(last_steps)) > 1
+
+
+def test_grid_ignores_batch_neighbours_and_row_cap(monkeypatch):
+    model, sources, _ = corpus_setup()
+    points = grid_points()
+    searched = []
+
+    def search_group(model, h, *args):
+        pools = group_search(model, h, *args)
+        searched.append((h.shape[0], pools is None))
+        return pools
+
+    def decode(src):
+        return json.dumps(decode_grid(model, src, 4, points, max_len=6))
+
+    whole = decode(sources)
+    halves = zip(json.loads(decode(sources[:4])), json.loads(decode(sources[4:])))
+    assert whole == json.dumps([a + b for a, b in halves])
+    group_search = decoding._search_group
+    monkeypatch.setattr(decoding, "_search_group", search_group)
+    monkeypatch.setattr(decoding, "MAX_ROWS_PER_CALL", 4)  # one source a call
+    assert decode(sources) == whole
+    assert searched == [(1, False)] * 9
+    searched.clear()
+    # three sources a group, until a group's decoder rows outgrow 12 and
+    # it and the rest are searched again one source at a time
+    monkeypatch.setattr(decoding, "MAX_ROWS_PER_CALL", 12)
+    assert decode(sources) == whole
+    assert searched == [(3, False), (3, True)] + [(1, False)] * 6
+
+
 def test_empty_source_batch_decodes_to_nothing():
     model, _, lm = corpus_setup()
     assert decode_corpus(model, np.zeros((0, 4), dtype=np.int64), 4, lm=lm,
                          lam=0.3, max_len=6) == []
     assert beam_search_batch(model, Tensor(np.zeros((0, 4, 8))), 4) == []
+    assert decode_grid(model, np.zeros((0, 4), dtype=np.int64), 4,
+                       grid_points(), max_len=6) == [[], [], [], []]

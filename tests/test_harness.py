@@ -326,6 +326,34 @@ def test_experiment_parallel_workers_match_serial(tmp_path):
     assert p1["results"].read_bytes() == p2["results"].read_bytes()
 
 
+# A toy_translate spec with both LMs and a lambda grid whose dev picks
+# include a tie, and the sha256 of its files, recorded when every fusion
+# point was searched on its own.
+GRID_SPEC = dict(
+    task="toy_translate",
+    task_params={"n_train": 120, "n_dev": 12, "n_test": 16,
+                 "n_text_extended": 300, "data_seed": 5},
+    model=FAST_MODEL, train={"steps": 200, "batch_size": 16,
+                             "eval_every": 10 ** 9},
+    relax_grid=(RelaxSetting(site="none"),
+                RelaxSetting(site="cross", gamma=0.2, mode="train_only")),
+    lm=LmSpec(corpora=("in_domain", "extended"),
+              lambda_grid=(0.0, 0.1, 0.3, 0.5)),
+    seeds=(0,), beam=4)
+GRID_SPEC_SHA256 = {
+    "results": "561a2cdf4723a047a88125eafeff68ce4cbacc3716d0a136dfdb620047be4ce7",
+    "summary": "6d6cb23c7cc8035c9fd5d88f9b0a7857d1331f830847c4c2a4c4ab0aa29d9127",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_experiment_files_match_their_golden_digest(tmp_path, workers):
+    paths = run_experiment(ExperimentSpec(**GRID_SPEC), workers=workers,
+                           output_dir=str(tmp_path))
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in paths.items()} == GRID_SPEC_SHA256
+
+
 def test_cell_workers_start_with_one_blas_thread_and_a_kept_heap(tmp_path,
                                                                  monkeypatch):
     import ratn.experiment as exp
@@ -442,6 +470,32 @@ def test_lm_spec_rejects_a_smoothing_constant_that_is_not_positive(k):
         LmSpec(k=k)
 
 
+@pytest.mark.parametrize("lm,named", [
+    ({"lambda_grid": (0.1, 0.2, 0.1)}, "repeated lm.lambda_grid entries: [0.1]"),
+    ({"lambda_grid": (0.0, -0.0)}, "repeated lm.lambda_grid entries: [0.0]"),
+    ({"corpora": ("in_domain", "extended", "in_domain")},
+     "repeated lm.corpora entries: ['in_domain']"),
+    ({"lambda_grid": (0.1, math.nan)},
+     "fusion weights must be finite and >= 0, got nan"),
+    ({"lambda_grid": (math.inf,)},
+     "fusion weights must be finite and >= 0, got inf"),
+    ({"lambda_grid": (0.1, -0.5)},
+     "fusion weights must be finite and >= 0, got -0.5"),
+], ids=["repeated_lambda", "signed_zero", "repeated_corpus", "nan_lambda",
+        "inf_lambda", "negative_lambda"])
+def test_lm_spec_rejects_a_grid_that_would_corrupt_results(lm, named):
+    # a repeated point writes two dev rows under one key; a NaN weight
+    # decodes without the LM under a row whose lambda is not valid JSON
+    with pytest.raises(ValueError, match=re.escape(named)):
+        LmSpec(**lm)
+
+
+def test_spec_rejects_a_nan_eos_margin():
+    # NaN compares false, so it would silently turn early stopping off
+    with pytest.raises(ValueError, match="eos_margin must be >= 0, got nan"):
+        ExperimentSpec(task="copy", eos_margin=math.nan)
+
+
 def test_lm_spec_accepts_only_the_corpora_key():
     with pytest.raises(ValueError, match="lm.corpus is not a field of LmSpec"):
         ExperimentSpec.from_dict({"task": "copy", "lm": {"corpus": "in_domain"}})
@@ -540,8 +594,8 @@ def test_window_classify_experiment(tmp_path):
 
 
 def test_inference_builds_no_autodiff_graph(tmp_path, monkeypatch):
-    # The encoder outputs that decoding reads (a cell's dev/test encodes, the
-    # encode inside decode_corpus) and the classifier's accuracy
+    # The encoder outputs that decoding reads (a cell's dev/test encodes in
+    # decode_grid, the encode inside decode_corpus) and the classifier's accuracy
     # probabilities carry no graph: nothing backpropagates through them.
     seen = []
 
@@ -1033,6 +1087,17 @@ def test_cli_decode_rejects_negative_lm_lambda_before_any_work(tmp_path,
         cli_main(["decode", "--spec", str(_write_spec(tmp_path)),
                   "--checkpoint", str(tmp_path / "model.ratn"),
                   "--lm", "in_domain", "--lm-lambda", "-1"])
+
+
+def test_cli_decode_rejects_a_nan_lm_lambda_before_any_work(tmp_path,
+                                                          monkeypatch):
+    import ratn.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "build_task_data", _never)
+    monkeypatch.setattr(cli_mod, "load_model", _never)
+    with pytest.raises(SystemExit, match="--lm-lambda must be >= 0, got nan"):
+        cli_main(["decode", "--spec", str(_write_spec(tmp_path)),
+                  "--checkpoint", str(tmp_path / "model.ratn"),
+                  "--lm", "in_domain", "--lm-lambda", "nan"])
 
 
 @pytest.mark.parametrize("workers", [0, -1])
