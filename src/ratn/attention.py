@@ -13,6 +13,7 @@ NumPy (output, pullback) helpers that the one-node Tensor functions wrap.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -152,10 +153,13 @@ def dropout(g: Tensor, p: float, rng: RngStream | None, phase: Phase) -> Tensor:
                   lambda gg: _apply_dropout(gg, mask))
 
 
+@functools.cache
 def causal_mask(n: int) -> np.ndarray:
-    """Additive [n, n] mask closing off future positions."""
+    """Additive [n, n] mask closing off future positions; built once per n
+    and shared, so read-only."""
     m = np.zeros((n, n))
     m[np.triu_indices(n, k=1)] = MASK_SENTINEL
+    m.flags.writeable = False
     return m
 
 
@@ -195,10 +199,12 @@ class MhaParams:
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """[..., L, d] -> contiguous [..., n_heads, L, d/n_heads]."""
+    """[..., L, d] -> [..., n_heads, L, d/n_heads], a strided view of a
+    contiguous x: each head's [L, d/n_heads] block has unit column stride
+    and row stride d, which matmul hands to BLAS as a leading dimension,
+    so products read it in place with the bits of a contiguous copy."""
     *lead, length, d = x.shape
-    split = x.reshape(*lead, length, n_heads, d // n_heads)
-    return np.ascontiguousarray(np.swapaxes(split, -2, -3))
+    return np.swapaxes(x.reshape(*lead, length, n_heads, d // n_heads), -2, -3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
@@ -219,7 +225,7 @@ class KvCache:
     and never copies them: reorder() composes `rows`, the stored row of each
     live row, and each call gathers its rows through it. Keys are stored
     transposed and contiguous, [rows, n_heads, d/n_heads, L]; values are
-    [rows, n_heads, L, d/n_heads]. Inference only: a cached
+    contiguous [rows, n_heads, L, d/n_heads]. Inference only: a cached
     multi_head_attention call builds no autodiff node.
     """
 
@@ -238,7 +244,7 @@ class KvCache:
             if self.kt is not None:
                 kt = np.concatenate([self.kt, kt], axis=-1)
                 vh = np.concatenate([self.v, vh], axis=-2)
-            self.kt, self.v = np.ascontiguousarray(kt), vh
+            self.kt, self.v = np.ascontiguousarray(kt), np.ascontiguousarray(vh)
         if self.rows is None:
             return self.kt, self.v
         return self.kt[self.rows], self.v[self.rows]

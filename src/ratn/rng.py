@@ -10,6 +10,7 @@ independence between labels is structural, not statistical.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -51,9 +52,19 @@ class RngStream:
         return self._gen.integers(low, high, size=shape)
 
     def bernoulli_mask(self, shape, keep_prob: float) -> np.ndarray:
-        """Boolean mask, True with probability keep_prob; one uniform draw
-        per entry."""
-        return self._gen.random(size=shape) < keep_prob
+        """Boolean mask, True with probability keep_prob in [0, 1]; one raw
+        64-bit word w per entry, the word random() would use.
+
+        random() is (w >> 11) * 2**-53, so random() < keep exactly when
+        w < ceil(keep * 2**53) << 11: the same decisions, and the stream
+        left where random() would leave it, without forming the floats.
+        """
+        if not 0.0 <= keep_prob <= 1.0:
+            raise ValueError(f"keep_prob must be in [0, 1], got {keep_prob}")
+        words = self._gen.bit_generator.random_raw(size=shape)
+        if keep_prob == 1.0:  # the bound, 2**64, does not fit a uint64
+            return np.ones_like(words, dtype=bool)
+        return words < np.uint64(math.ceil(keep_prob * 2 ** 53) << 11)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id!r})"

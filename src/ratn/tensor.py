@@ -98,10 +98,15 @@ class Tensor:
 
 
 class Module:
-    """Base of the models, which name every learned tensor in parameters()."""
+    """Base of the models. Each names every learned tensor once, when it is
+    built, in self._params; the tensors' data may change, the tensors not."""
+
+    def parameters(self) -> dict[str, Tensor]:
+        """Every learned tensor by name, in a fixed order; a new dict."""
+        return dict(self._params)
 
     def zero_grad(self) -> None:
-        for t in self.parameters().values():
+        for t in self._params.values():
             t.grad = None
 
 

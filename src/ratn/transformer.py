@@ -223,19 +223,15 @@ class Seq2SeqModel(Module):
         self.out_b = Tensor(np.zeros(dv), requires_grad=True)
         # Relaxation coefficients actually applied during the latest forward.
         self.last_gammas: dict[str, list[float]] = {"self": [], "cross": []}
-
-    def parameters(self) -> dict[str, Tensor]:
-        """Every learned tensor by name, e.g. "dec.1.cross_attn.wq", in a fixed
-        order: embeddings, block fields in declaration order, output layer."""
-        out: dict[str, Tensor] = {"emb_enc": self.emb_enc, "emb_dec": self.emb_dec}
+        # Names like "dec.1.cross_attn.w_q", in a fixed order: embeddings,
+        # block fields in declaration order, output layer.
+        self._params = {"emb_enc": self.emb_enc, "emb_dec": self.emb_dec}
         for prefix, blocks in (("enc", self.enc_blocks), ("dec", self.dec_blocks)):
             for i, blk in enumerate(blocks):
                 for f in dataclasses.fields(blk):
                     for k, t in getattr(blk, f.name).tensors().items():
-                        out[f"{prefix}.{i}.{f.name}.{k}"] = t
-        out["out_w"] = self.out_w
-        out["out_b"] = self.out_b
-        return out
+                        self._params[f"{prefix}.{i}.{f.name}.{k}"] = t
+        self._params.update(out_w=self.out_w, out_b=self.out_b)
 
     # -- forward pieces ----------------------------------------------------
 

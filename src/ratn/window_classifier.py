@@ -54,13 +54,9 @@ class WindowClassifier(Module):
                              requires_grad=True)
         self.head_b = Tensor(np.zeros(config.n_classes), requires_grad=True)
         self.last_gammas: dict[str, list[float]] = {"window": []}
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {f"attn.{k}": t for k, t in self.attn.tensors().items()}
-        out.update({f"ln.{k}": t for k, t in self.ln.tensors().items()})
-        out["head_w"] = self.head_w
-        out["head_b"] = self.head_b
-        return out
+        self._params = {f"attn.{k}": t for k, t in self.attn.tensors().items()}
+        self._params.update({f"ln.{k}": t for k, t in self.ln.tensors().items()})
+        self._params.update(head_w=self.head_w, head_b=self.head_b)
 
     def forward(self, x, phase: Phase = Phase.EVAL) -> Tensor:
         """Class probabilities for grids x of shape [.., h, w, c]."""

@@ -10,11 +10,11 @@ import pytest
 from helpers import (assert_matches_oracle, dropout_multiplier, fd_grad,
                      rel_err, random_stochastic_rows)
 from ratn.attention import (MASK_SENTINEL, KvCache, MhaParams, Phase,
-                            RelaxationConfig, WindowAttnParams, causal_mask,
-                            dropout, multi_head_attention, position_bias,
-                            relative_position_index, relax_weights,
-                            sample_fuzzy_gamma, window_merge, window_partition,
-                            windowed_mha)
+                            RelaxationConfig, WindowAttnParams, _split_heads,
+                            causal_mask, dropout, multi_head_attention,
+                            position_bias, relative_position_index,
+                            relax_weights, sample_fuzzy_gamma, window_merge,
+                            window_partition, windowed_mha)
 from ratn.metrics import attention_entropy
 from ratn.rng import RngStream
 from ratn.tensor import (ShapeError, Tensor, add, backward, finite_diff_grad,
@@ -440,6 +440,35 @@ def test_mha_shape_validation():
     with pytest.raises(ShapeError):
         multi_head_attention(Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 4))),
                              params)
+
+
+def test_causal_mask_is_shared_read_only_and_equals_a_fresh_construction():
+    m = causal_mask(6)
+    assert causal_mask(6) is m and not m.flags.writeable
+    fresh = np.zeros((6, 6))
+    fresh[np.triu_indices(6, k=1)] = MASK_SENTINEL
+    assert m.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError):
+        m[0, 1] = 0.0
+
+
+def test_split_heads_is_a_view_whose_products_equal_a_contiguous_copys():
+    # The heads are a strided view of the projection; matmul passes its row
+    # stride to BLAS, which must give the bits of a contiguous copy.
+    rng = RngStream(34, "t")
+    x = rng.normal((3, 2, 7, 12))
+    heads = _split_heads(x, 4)
+    assert heads.shape == (3, 2, 4, 7, 3) and np.shares_memory(heads, x)
+    copy = np.ascontiguousarray(heads)
+    assert np.array_equal(heads, np.swapaxes(x.reshape(3, 2, 7, 4, 3), -2, -3))
+    other = rng.normal((3, 2, 4, 3, 7))
+    square = rng.normal((3, 2, 4, 7, 7))
+    assert (heads @ other).tobytes() == (copy @ other).tobytes()
+    assert (square @ heads).tobytes() == (square @ copy).tobytes()
+    assert ((np.swapaxes(square, -1, -2) @ heads).tobytes()
+            == (np.swapaxes(square, -1, -2) @ copy).tobytes())
+    one = _split_heads(x[..., :1, :], 4)  # a decode step's single position
+    assert (one @ other).tobytes() == (np.ascontiguousarray(one) @ other).tobytes()
 
 
 def test_causal_mask_blocks_future():

@@ -17,6 +17,7 @@ from ratn.tensor import (ShapeError, Tensor, _row_max, _softmax, _toposort,
 from ratn.attention import (Phase, RelaxationConfig, _dropout_mask,
                             relative_position_index, relax_weights)
 from ratn.training import label_smoothed_nll
+from ratn.transformer import ModelConfig, Seq2SeqModel
 from ratn.window_classifier import WindowClassifier, WindowClassifierConfig
 
 
@@ -342,6 +343,55 @@ def test_rng_draw_without_a_shape_is_the_first_element_of_a_shape_one_draw(draw)
     scalar = draw(RngStream(5, "s"))
     assert not isinstance(scalar, np.ndarray) and np.ndim(scalar) == 0
     assert scalar == draw(RngStream(5, "s"), shape=(1,))[0]
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (32, 4, 9, 9)])
+@pytest.mark.parametrize("keep", [2.0 ** -53, 0.1, 0.5, 0.9, 1.0 - 2.0 ** -53])
+def test_bernoulli_mask_equals_a_uniform_draw_below_keep_bit_for_bit(keep, shape):
+    # The mask compares raw words with an integer bound; a twin stream's
+    # random() < keep must give the same decisions from the same words and
+    # leave the stream at the same position.
+    stream, twin = RngStream(31, "dropout"), RngStream(31, "dropout")
+    mask = stream.bernoulli_mask(shape, keep)
+    expected = twin._gen.random(size=shape) < keep
+    assert type(mask) is type(expected) and np.shape(mask) == shape
+    assert np.array_equal(mask, expected)
+    assert stream._gen.random() == twin._gen.random()
+
+
+@pytest.mark.parametrize("keep,value", [(0.0, False), (1.0, True)])
+def test_bernoulli_mask_is_exact_at_both_ends(keep, value):
+    stream, twin = RngStream(32, "dropout"), RngStream(32, "dropout")
+    mask = stream.bernoulli_mask((5, 6), keep)
+    assert mask.dtype == np.bool_ and np.all(mask == value)
+    twin._gen.random(size=(5, 6))
+    assert stream._gen.random() == twin._gen.random()
+
+
+@pytest.mark.parametrize("keep", [-1e-12, 1.0 + 1e-12, np.nan, np.inf])
+def test_bernoulli_mask_rejects_a_keep_prob_outside_the_unit_interval(keep):
+    with pytest.raises(ValueError, match="keep_prob"):
+        RngStream(33, "dropout").bernoulli_mask((3,), keep)
+
+
+@pytest.mark.parametrize("model", [
+    lambda: Seq2SeqModel(ModelConfig(n_enc=1, n_dec=1, n_heads=2, d_model=8,
+                                     d_ff=16, vocab_size=10), seed=0),
+    lambda: WindowClassifier(WindowClassifierConfig(), seed=0),
+], ids=["seq2seq", "window_classifier"])
+def test_parameters_is_a_new_dict_of_the_same_tensors_each_call(model):
+    model = model()
+    first, second = model.parameters(), model.parameters()
+    assert first is not second
+    assert list(first) == list(second)
+    assert all(first[k] is second[k] for k in first)
+    first.clear()
+    first["extra"] = Tensor(np.zeros(1), requires_grad=True)
+    assert list(model.parameters()) == list(second)
+    for t in second.values():
+        t.grad = np.ones_like(t.data)
+    model.zero_grad()
+    assert all(t.grad is None for t in second.values())
 
 
 # ---------------------------------------------------------------------------
